@@ -35,8 +35,7 @@ from .errors import (
     SizeMismatchError,
     ZeroReferenceError,
 )
-from .fftops import dft, hadamard, idft
-from .flops import FlopCounter, FlopReport, tally
+from .flops import FlopCounter, FlopReport
 from .forward import (
     nfft_type1,
     nfft_type1_direct,
@@ -92,11 +91,8 @@ __all__ = [
     "compute_v_samples",
     "damping_from_mu",
     "derivative_samples",
-    "dft",
     "generate_trial",
     "ge_solve",
-    "hadamard",
-    "idft",
     "kernel_coefficients",
     "kernel_for_size",
     "kernel_samples_from_v",
@@ -111,7 +107,6 @@ __all__ = [
     "relative_error",
     "run_figure",
     "run_sweep",
-    "tally",
     "type4",
     "type4_system",
     "type5",

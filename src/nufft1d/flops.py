@@ -118,23 +118,3 @@ class FlopCounter:
             complex_exps=self.complex_exps,
             fft_invocations=tuple(self.fft_sizes),
         )
-
-
-_EVENT_METHODS = {
-    "real_add", "complex_add", "real_mul", "complex_mul", "complex_exp",
-    "complex_div", "fft",
-}
-
-
-def tally(events) -> FlopReport:
-    """Fold a stream of (kind, arg) events into a FlopReport.
-
-    ``kind`` is one of the FlopCounter method names; ``arg`` is a count
-    (or the transform size for "fft").
-    """
-    counter = FlopCounter()
-    for kind, arg in events:
-        if kind not in _EVENT_METHODS:
-            raise ValueError(f"unknown flop event kind: {kind!r}")
-        getattr(counter, kind)(arg)
-    return counter.report()

@@ -144,6 +144,8 @@ def type4(plan: InversePlan, spectrum, flops: FlopCounter | None = None) -> np.n
 
 
 def _refine(plan, data, passes, solve, forward, flops):
+    if passes < 0:
+        raise ValueError(f"refinement passes must be >= 0, got {passes}")
     x = solve(plan, data, flops=flops)
     P = plan.size
     prev_norm = None

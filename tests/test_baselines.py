@@ -49,6 +49,10 @@ def test_ge_singular_matrix():
     M = np.array([[1.0, 2.0], [0.5, 1.0]], dtype=complex)  # rank one
     with pytest.raises(SingularMatrixError):
         ge_solve(DenseSystem(matrix=M, rhs=np.array([1.0, 1.0], dtype=complex)))
+    # nonzero subnormal pivot: the solution overflows to infinity
+    M = np.diag([1e-310, 1.0]).astype(complex)
+    with pytest.raises(SingularMatrixError):
+        ge_solve(DenseSystem(matrix=M, rhs=np.array([1.0, 1.0], dtype=complex)))
 
 
 def test_dense_systems_are_hermitian_duals():
@@ -130,3 +134,5 @@ def test_cg_rejects_bad_arguments():
         cg_solve(grid, np.ones(8), tol=0.0)
     with pytest.raises(ValueError):
         cg_solve(grid, np.ones(8), which="type3")
+    with pytest.raises(ValueError):
+        cg_solve(grid, np.ones(8), spread_width=0)

@@ -88,6 +88,17 @@ def test_transform_refined_pass(tmp_path):
     assert e_ref < e_plain
 
 
+def test_negative_passes_exit_code(tmp_path):
+    grid, amps, gpath = write_trial(tmp_path, P=8, seed=3)
+    dpath = tmp_path / "d.txt"
+    write_vector_file(dpath, amps)
+    out = tmp_path / "o.txt"
+    rc = main(["transform", "--type", "4", "--grid", str(gpath), "--data", str(dpath),
+               "--out", str(out), "--passes", "-1"])
+    assert rc == 2
+    assert not out.exists()
+
+
 def test_parse_failure_exit_code(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("not numbers\n")

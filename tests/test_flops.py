@@ -9,7 +9,6 @@ from nufft1d import (
     ge_solve,
     generate_trial,
     nfft_type1,
-    tally,
     type4,
     type4_system,
     type5,
@@ -17,16 +16,25 @@ from nufft1d import (
 from nufft1d.flops import fft_flops
 
 
+def charge(kind, n):
+    counter = FlopCounter()
+    getattr(counter, kind)(n)
+    return counter.report()
+
+
 def test_single_operation_weights():
-    assert tally([("complex_mul", 1)]).total_flops == 6
-    assert tally([("fft", 1024)]).total_flops == 5 * 1024 * 10
-    assert tally([]).total_flops == 0
-    assert tally([("real_add", 3), ("complex_add", 2)]).total_flops == 3 + 4
-    assert tally([("complex_exp", 2)]).total_flops == 14
+    assert charge("complex_mul", 1).total_flops == 6
+    assert charge("fft", 1024).total_flops == 5 * 1024 * 10
+    assert FlopCounter().report().total_flops == 0
+    counter = FlopCounter()
+    counter.real_add(3)
+    counter.complex_add(2)
+    assert counter.report().total_flops == 3 + 4
+    assert charge("complex_exp", 2).total_flops == 14
 
 
 def test_complex_div_expansion():
-    rep = tally([("complex_div", 1)])
+    rep = charge("complex_div", 1)
     assert rep.complex_muls == 1 and rep.real_muls == 5 and rep.real_adds == 1
     assert rep.total_flops == 6 + 5 + 1
 
@@ -79,15 +87,20 @@ def test_inverse_pair_reports_identical():
 
 
 def test_ge_flops_scale_cubically():
-    totals = []
+    totals, ge_totals = [], []
     rng = np.random.default_rng(2)
     for P in (16, 32):
         grid, _ = generate_trial(P, 3)
-        counter = FlopCounter()
-        ge_solve(type4_system(grid, rng.standard_normal(P) + 0j, flops=counter), flops=counter)
+        counter, ge_counter = FlopCounter(), FlopCounter()
+        system = type4_system(grid, rng.standard_normal(P) + 0j, flops=counter)
+        ge_solve(system, flops=ge_counter)
+        counter.merge(ge_counter)
         totals.append(counter.report().total_flops)
+        ge_totals.append(ge_counter.report().total_flops)
     # leading term is the elimination's P^3; ratio for doubled P lands near 8
     assert 5.5 < totals[1] / totals[0] < 9.0
+    # textbook count of elimination plus back substitution, pinned exactly
+    assert ge_totals == [13472, 97600]
 
 
 def test_cg_flops_track_iterations():

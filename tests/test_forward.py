@@ -3,8 +3,6 @@ import pytest
 
 from nufft1d import (
     SizeMismatchError,
-    dft,
-    idft,
     kernel_for_size,
     nfft_type1,
     nfft_type1_direct,
@@ -72,7 +70,7 @@ def test_type1_uniform_grid_reduces_to_dft():
     Q = 16
     grid = validate_grid(np.arange(Q) / Q)
     a = randc(Q, rng)
-    assert rel(dft(a), nfft_type1(grid, a, Q)) < 1e-13
+    assert rel(np.fft.fft(a), nfft_type1(grid, a, Q)) < 1e-13
 
 
 def test_type1_oracle_equivalence():
@@ -106,7 +104,7 @@ def test_type2_uniform_grid_reduces_to_idft():
     P = 16
     grid = validate_grid(np.arange(P) / P)
     S = randc(P, rng)
-    assert rel(P * idft(S), nfft_type2(S, grid)) < 1e-13
+    assert rel(P * np.fft.ifft(S), nfft_type2(S, grid)) < 1e-13
 
 
 def test_type2_oracle_equivalence():

@@ -215,6 +215,17 @@ def test_refine_zero_passes_is_plain():
     assert np.array_equal(refine_type5(plan, s, passes=0), type5(plan, s))
 
 
+def test_refine_rejects_negative_passes():
+    rng = np.random.default_rng(12)
+    P = 32
+    grid = jittered(P, rng)
+    plan = build_plan(grid, std_params(P))
+    with pytest.raises(ValueError):
+        refine_type4(plan, randc(P, rng), passes=-3)
+    with pytest.raises(ValueError):
+        refine_type5(plan, randc(P, rng), passes=-1)
+
+
 def test_refine_type4_contracts_error_exponent():
     P = 256
     params = MethodParams.from_mu(1e-6, P, eta=1)
