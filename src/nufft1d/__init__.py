@@ -54,7 +54,6 @@ from .grid import (
 from .gridding import GriddingKernel, kernel_for_size
 from .inverse import InversePlan, build_plan, refine_type4, refine_type5, type4, type5
 from .lagrange import (
-    KernelData,
     compute_v_samples,
     derivative_samples,
     kernel_coefficients,
@@ -70,7 +69,6 @@ __all__ = [
     "FlopReport",
     "GriddingKernel",
     "InversePlan",
-    "KernelData",
     "KernelOverflowError",
     "LengthMismatchError",
     "MethodParams",

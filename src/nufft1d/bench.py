@@ -62,6 +62,8 @@ class TrialConfig:
     def __post_init__(self):
         if not 0.0 <= self.jitter_max < 1.0:
             raise ValueError("jitter_max must lie in [0, 1) to keep nodes distinct")
+        if self.refine_passes < 0:
+            raise ValueError(f"refine_passes must be >= 0, got {self.refine_passes}")
         for m in self.methods:
             if m not in ALL_METHODS:
                 raise ValueError(f"unknown method {m!r}")
@@ -174,9 +176,7 @@ def run_sweep(config: TrialConfig) -> list[TrialResult]:
                     for mu in config.mu:
                         try:
                             params = MethodParams.from_mu(
-                                mu, P, eta,
-                                spread_width=config.spread_width,
-                                refine_passes=config.refine_passes,
+                                mu, P, eta, spread_width=config.spread_width
                             )
                         except NonPositiveDampingError:
                             continue

@@ -91,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _solve_params(args, P: int) -> MethodParams:
-    kwargs = dict(spread_width=args.spread, refine_passes=max(args.passes, 1))
+    kwargs = dict(spread_width=args.spread)
     if args.a is not None:
         return MethodParams.from_damping(args.a, P, args.eta, **kwargs)
     mu = args.mu if args.mu is not None else 1e-15

@@ -23,6 +23,33 @@ def _idft_unnormalized(V: np.ndarray) -> np.ndarray:
     return np.conj(np.fft.fft(np.conj(V)))
 
 
+def _gridding_kernel(
+    kernel: GriddingKernel | None,
+    size: int,
+    Q: int,
+    flops: FlopCounter | None,
+) -> GriddingKernel:
+    """The kernel for a length-``size`` band, checked, with one transform charged.
+
+    Types 1 and 2 are exact transposes, so one charge serves both: the band
+    shift at Q instants, Q * taps pulse samples spread or gathered, one
+    fine-grid FFT and the deconvolution on the band.
+    """
+    if kernel is None:
+        kernel = kernel_for_size(size)
+    elif kernel.size != size:
+        raise SizeMismatchError(f"kernel built for size {kernel.size}, transform needs {size}")
+    if flops is not None:
+        flops.complex_exp(Q)                 # band-shift modulation phases
+        flops.complex_mul(Q)
+        flops.complex_exp(Q * kernel.taps)   # pulse evaluations
+        flops.real_mul(2 * Q * kernel.taps)  # complex value * real weight
+        flops.complex_add(Q * kernel.taps)   # scatter or gather accumulation
+        flops.fft(kernel.fine_size)
+        flops.real_mul(2 * size)             # deconvolution
+    return kernel
+
+
 def nfft_type1(
     grid: NonuniformGrid,
     amplitudes,
@@ -38,12 +65,8 @@ def nfft_type1(
     if R < 1:
         raise ValueError(f"output length must be >= 1, got {R}")
     a = as_complex_vector(amplitudes, length=grid.size, name="amplitudes")
-    if kernel is None:
-        kernel = kernel_for_size(R)
-    elif kernel.size != R:
-        raise SizeMismatchError(f"kernel built for size {kernel.size}, transform needs {R}")
+    kernel = _gridding_kernel(kernel, R, grid.size, flops)
     t = grid.instants
-    Q = t.size
     amod = a * cis_cycles(-kernel.band_shift * np.asarray(t, dtype=np.longdouble))
     idx, dist = kernel.spread_geometry(t)
     w = kernel.weights(dist)
@@ -53,14 +76,6 @@ def nfft_type1(
     H = np.bincount(flat, weights=src.real, minlength=n) \
         + 1j * np.bincount(flat, weights=src.imag, minlength=n)
     spectrum = np.fft.fft(H)
-    if flops is not None:
-        flops.complex_exp(Q)            # band-shift modulation phases
-        flops.complex_mul(Q)
-        flops.complex_exp(Q * kernel.taps)   # pulse evaluations
-        flops.real_mul(2 * Q * kernel.taps)  # amplitude * real weight
-        flops.complex_add(Q * kernel.taps)   # scatter accumulation
-        flops.fft(n)
-        flops.real_mul(2 * R)           # deconvolution
     return spectrum[kernel.bins] * kernel.deconv
 
 
@@ -77,13 +92,8 @@ def nfft_type2(
     gather at each instant.
     """
     S = as_complex_vector(coefficients, name="coefficients")
-    P = S.size
-    if kernel is None:
-        kernel = kernel_for_size(P)
-    elif kernel.size != P:
-        raise SizeMismatchError(f"kernel built for size {kernel.size}, transform needs {P}")
+    kernel = _gridding_kernel(kernel, S.size, grid.size, flops)
     t = grid.instants
-    Q = t.size
     n = kernel.fine_size
     F = np.zeros(n, dtype=np.complex128)
     F[kernel.bins] = S * kernel.deconv
@@ -91,14 +101,6 @@ def nfft_type2(
     idx, dist = kernel.spread_geometry(t)
     w = kernel.weights(dist)
     out = np.einsum("qj,qj->q", w, y[idx])
-    if flops is not None:
-        flops.real_mul(2 * P)           # deconvolution
-        flops.fft(n)
-        flops.complex_exp(Q * kernel.taps)
-        flops.real_mul(2 * Q * kernel.taps)
-        flops.complex_add(Q * kernel.taps)
-        flops.complex_exp(Q)
-        flops.complex_mul(Q)
     return out * cis_cycles(kernel.band_shift * np.asarray(t, dtype=np.longdouble))
 
 
@@ -144,6 +146,8 @@ def nonuniform_conv(
     polynomial, R an integer multiple of P. One type-1 transform of length
     R, an aliasing fold down to length P, and one unnormalized inverse FFT.
     """
+    if P < 1:
+        raise ValueError(f"output length must be >= 1, got {P}")
     lam = np.asarray(lam_coefficients)
     R = lam.size
     if R % P != 0:

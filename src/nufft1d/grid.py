@@ -135,7 +135,6 @@ class MethodParams:
     eta: int
     mu: float
     spread_width: int = DEFAULT_SPREAD_WIDTH
-    refine_passes: int = 1
 
     def __post_init__(self):
         if self.damping_a <= 0.0:
@@ -146,8 +145,6 @@ class MethodParams:
             raise ValueError(f"truncation ratio must lie in (0, 1), got {self.mu!r}")
         if self.spread_width < 1:
             raise ValueError("spread_width must be >= 1")
-        if self.refine_passes < 0:
-            raise ValueError("refine_passes must be >= 0")
 
     @classmethod
     def from_mu(cls, mu: float, P: int, eta: int = 1, **kwargs) -> "MethodParams":

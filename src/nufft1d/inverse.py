@@ -1,10 +1,12 @@
 """Non-iterative inversion of the type-1 and type-2 transforms.
 
 A per-grid plan precomputes the node-polynomial quantities plus node
-weights; each solve then costs three forward NFFTs and a couple of FFTs,
+weights; each solve then costs one forward NFFT and two length-P FFTs,
 O(P log P) total. type5 recovers polynomial coefficients from samples at
-the nodes; type4 recovers delta-train amplitudes from uniform spectrum
-samples. The two solves are exact flop-count duals of each other.
+the nodes: a type-1 NFFT, then a regular-grid coefficient recovery. type4
+recovers delta-train amplitudes from uniform spectrum samples: the same
+recovery, then a type-2 NFFT. The two solves are exact flop-count duals of
+each other.
 
 A refinement pass re-solves for the residual and subtracts, squaring the
 method's error bound; with the damping chosen coarse this recovers dense-
@@ -19,35 +21,41 @@ import numpy as np
 
 from .errors import NonConvergenceError
 from .flops import FlopCounter
-from .forward import (
-    _idft_unnormalized,
-    nfft_type1,
-    nfft_type2,
-    nonuniform_conv,
-)
+from .forward import _idft_unnormalized, nfft_type1, nfft_type2
 from .grid import MethodParams, NonuniformGrid, as_complex_vector
 from .gridding import GriddingKernel, cis_cycles, kernel_for_size
-from .lagrange import KernelData, build_kernel_data
+from .lagrange import (
+    compute_v_samples,
+    derivative_samples,
+    kernel_coefficients,
+    kernel_samples_from_v,
+)
 
 
 @dataclass(frozen=True, eq=False)
 class InversePlan:
     """Grid-only precomputation, reusable across right-hand sides.
 
-    node_weights combine the boundary kernel h(-P t_p + i P a) with the
-    reciprocal of L'(e^{2 pi i t_p}) e^{2 pi i t_p}; h1_coefficients are the
-    exactly band-limited pulse spectrum e^{-2 pi p a} (so the solve-side
-    convolution needs no truncation); coef_scale is e^{+2 pi p a} / P, the
-    coefficient-recovery weighting.
+    From the node polynomial L(z) = prod_p (z - e^{2 pi i t_p}):
+    kernel_samples are the damped samples L(e^{2 pi i (q/P + i a)}),
+    coefficients are L_0..L_{P-1} (L_P = 1 implied) and derivative_samples
+    are L'(e^{2 pi i t_p}). node_weights combine the boundary kernel
+    h(-P t_p + i P a) with the reciprocal of L'(e^{2 pi i t_p}) e^{2 pi i t_p};
+    h1_coefficients are the exactly band-limited pulse spectrum e^{-2 pi p a}
+    (so the solve-side convolution needs no truncation); coef_scale is
+    e^{+2 pi p a} / P, the coefficient-recovery weighting. kernel_base is the
+    length-P gridding kernel every solve on this grid uses. All arrays are
+    read-only.
     """
 
     grid: NonuniformGrid
     params: MethodParams
-    kernel_data: KernelData
+    kernel_samples: np.ndarray
+    coefficients: np.ndarray
+    derivative_samples: np.ndarray
     node_weights: np.ndarray
     h1_coefficients: np.ndarray
     coef_scale: np.ndarray
-    kernel_fine: GriddingKernel
     kernel_base: GriddingKernel
 
     @property
@@ -65,7 +73,10 @@ def build_plan(
     a = params.damping_a
     kernel_fine = kernel_for_size(params.eta * P, params.spread_width)
     kernel_base = kernel_for_size(P, params.spread_width)
-    kdata = build_kernel_data(grid, params, kernel_fine, kernel_base, flops=flops)
+    v = compute_v_samples(grid, params, kernel=kernel_fine, flops=flops)
+    ks = kernel_samples_from_v(v, grid, flops=flops)
+    coeffs = kernel_coefficients(ks, params, flops=flops)
+    dL = derivative_samples(coeffs, grid, kernel=kernel_base, flops=flops)
 
     p = np.arange(P)
     decay = np.exp(-2.0 * np.pi * p * a)
@@ -75,7 +86,7 @@ def build_plan(
     t = grid.instants
     tl = np.asarray(t, dtype=np.longdouble)
     h_boundary = 1.0 / (cis_cycles(-P * tl) * np.exp(-2.0 * np.pi * P * a) - 1.0)
-    node_weights = h_boundary / (kdata.derivative_samples * cis_cycles(tl))
+    node_weights = h_boundary / (dL * cis_cycles(tl))
     if flops is not None:
         flops.complex_exp(P)            # decay table
         flops.real_mul(2 * P)           # boost reciprocals, /P scale
@@ -84,62 +95,65 @@ def build_plan(
         flops.complex_add(P)            # the -1
         flops.complex_div(2 * P)        # reciprocal of h denominator, final division
         flops.complex_mul(P)            # L' * e^{2 pi i t}
-    for arr in (decay, coef_scale, node_weights):
+    for arr in (ks, coeffs, dL, decay, coef_scale, node_weights):
         arr.setflags(write=False)
     return InversePlan(
         grid=grid,
         params=params,
-        kernel_data=kdata,
+        kernel_samples=ks,
+        coefficients=coeffs,
+        derivative_samples=dL,
         node_weights=node_weights,
         h1_coefficients=decay,
         coef_scale=coef_scale,
-        kernel_fine=kernel_fine,
         kernel_base=kernel_base,
     )
+
+
+def _coefficients(plan: InversePlan, A: np.ndarray) -> np.ndarray:
+    """Coefficient recovery on the regular grid, the part both solves share.
+
+    Damp the length-P spectrum A, one inverse FFT to the regular-grid
+    sequence, multiply by the kernel samples to get s(q/P + i a), then one
+    FFT with undamping.
+    """
+    u = _idft_unnormalized(plan.h1_coefficients * A)
+    return np.fft.fft(plan.kernel_samples * u) * plan.coef_scale
+
+
+def _charge_solve(P: int, flops: FlopCounter | None):
+    """Everything a solve costs beyond its forward transform (same for both)."""
+    if flops is not None:
+        flops.real_mul(4 * P)       # damping and coef_scale
+        flops.complex_mul(2 * P)    # kernel samples and node weights
+        flops.fft(P)                # regular-grid sequence
+        flops.fft(P)                # coefficient recovery
 
 
 def type5(plan: InversePlan, samples, flops: FlopCounter | None = None) -> np.ndarray:
     """Coefficients S with sum_p S_p e^{2 pi i p t_q} = samples_q.
 
-    Weighted amplitudes, one band-limited nonuniform convolution onto the
-    regular grid, a pointwise multiply by the kernel samples, then one DFT
-    with undamping.
+    Weighted samples, one type-1 transform onto the P-point spectrum, then
+    the shared coefficient recovery.
     """
     s = as_complex_vector(samples, length=plan.size, name="samples")
-    P = plan.size
-    weighted = s * plan.node_weights
-    u = nonuniform_conv(
-        plan.grid, weighted, plan.h1_coefficients, P, kernel=plan.kernel_base, flops=flops
-    )
-    shifted = plan.kernel_data.kernel_samples * u  # s(q/P + i a)
-    out = np.fft.fft(shifted) * plan.coef_scale
-    if flops is not None:
-        flops.complex_mul(2 * P)
-        flops.fft(P)
-        flops.real_mul(2 * P)
-    return out
+    A = nfft_type1(plan.grid, s * plan.node_weights, plan.size, kernel=plan.kernel_base,
+                   flops=flops)
+    _charge_solve(plan.size, flops)
+    return _coefficients(plan, A)
 
 
 def type4(plan: InversePlan, spectrum, flops: FlopCounter | None = None) -> np.ndarray:
     """Amplitudes a with sum_q a_q e^{-2 pi i p t_q} = spectrum_p.
 
-    The same regular-grid sequence as type5 is obtained directly from the
-    damped spectrum by one inverse FFT; after coefficient recovery, a
-    type-2 transform evaluates at the nodes and the node weights finish.
+    The shared coefficient recovery applied to the spectrum directly, then a
+    type-2 transform evaluates at the nodes and the node weights finish:
+    the exact transpose of type5.
     """
     A = as_complex_vector(spectrum, length=plan.size, name="spectrum")
-    P = plan.size
-    u = _idft_unnormalized(plan.h1_coefficients * A)
-    shifted = plan.kernel_data.kernel_samples * u
-    S = np.fft.fft(shifted) * plan.coef_scale
-    s_nodes = nfft_type2(S, plan.grid, kernel=plan.kernel_base, flops=flops)
-    if flops is not None:
-        flops.real_mul(2 * P)       # damping the spectrum
-        flops.fft(P)                # regular-grid sequence
-        flops.complex_mul(P)        # kernel-sample multiply
-        flops.fft(P)                # coefficient recovery
-        flops.real_mul(2 * P)       # coef_scale
-        flops.complex_mul(P)        # node weights
+    s_nodes = nfft_type2(_coefficients(plan, A), plan.grid, kernel=plan.kernel_base,
+                         flops=flops)
+    _charge_solve(plan.size, flops)
     return s_nodes * plan.node_weights
 
 
@@ -167,7 +181,7 @@ def _refine(plan, data, passes, solve, forward, flops):
 def refine_type4(
     plan: InversePlan,
     spectrum,
-    passes: int | None = None,
+    passes: int = 1,
     flops: FlopCounter | None = None,
 ) -> np.ndarray:
     """type4 plus residual-correction passes.
@@ -177,8 +191,6 @@ def refine_type4(
     the correction; every pass multiplies the error bound by the plain
     method's accuracy factor.
     """
-    if passes is None:
-        passes = plan.params.refine_passes
     A = as_complex_vector(spectrum, length=plan.size, name="spectrum")
 
     def forward(x):
@@ -190,12 +202,10 @@ def refine_type4(
 def refine_type5(
     plan: InversePlan,
     samples,
-    passes: int | None = None,
+    passes: int = 1,
     flops: FlopCounter | None = None,
 ) -> np.ndarray:
     """type5 plus residual-correction passes (sample-domain residuals)."""
-    if passes is None:
-        passes = plan.params.refine_passes
     s = as_complex_vector(samples, length=plan.size, name="samples")
 
     def forward(x):

@@ -4,7 +4,8 @@ For nodes t_p the kernel is the degree-P polynomial
 L(z) = prod_p (z - e^{2 pi i t_p}) with unit leading coefficient. The
 inversion pipeline needs four derived quantities per grid: the log-sum
 v(q/P), the damped kernel samples L(e^{2 pi i (q/P + i a)}), the
-coefficients L_0..L_{P-1}, and the derivative values L'(e^{2 pi i t_p}).
+coefficients L_0..L_{P-1}, and the derivative values L'(e^{2 pi i t_p});
+``inverse.build_plan`` runs the four stages in that order.
 Everything here is computed through FFT-sized operations; the O(P^2)
 brute-force counterparts live in the test suite as oracles.
 """
@@ -12,7 +13,6 @@ brute-force counterparts live in the test suite as oracles.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,16 +27,6 @@ OVERFLOW_MARGIN = 16.0
 RE_V_LIMIT = float(np.log(np.finfo(np.float64).max)) - OVERFLOW_MARGIN
 
 DERIVATIVE_FLOOR = 1e-300
-
-
-@dataclass(frozen=True, eq=False)
-class KernelData:
-    """Per-grid kernel quantities; immutable and shareable."""
-
-    v_samples: np.ndarray           # v(q/P), length P
-    kernel_samples: np.ndarray      # L(e^{2 pi i (q/P + i a)}), length P
-    coefficients: np.ndarray        # L_0..L_{P-1}; L_P = 1 implicit
-    derivative_samples: np.ndarray  # L'(e^{2 pi i t_p}), length P
 
 
 def series_coefficients(damping_a: float, R: int, flops: FlopCounter | None = None) -> np.ndarray:
@@ -173,19 +163,3 @@ def derivative_samples(
         )
     return out
 
-
-def build_kernel_data(
-    grid: NonuniformGrid,
-    params: MethodParams,
-    kernel_fine: GriddingKernel | None = None,
-    kernel_base: GriddingKernel | None = None,
-    flops: FlopCounter | None = None,
-) -> KernelData:
-    """Compute all four kernel quantities for one grid/parameter pair."""
-    v = compute_v_samples(grid, params, kernel=kernel_fine, flops=flops)
-    ks = kernel_samples_from_v(v, grid, flops=flops)
-    coeffs = kernel_coefficients(ks, params, flops=flops)
-    dL = derivative_samples(coeffs, grid, kernel=kernel_base, flops=flops)
-    for arr in (v, ks, coeffs, dL):
-        arr.setflags(write=False)
-    return KernelData(v_samples=v, kernel_samples=ks, coefficients=coeffs, derivative_samples=dL)

@@ -214,9 +214,9 @@ def test_criterion_8_uniform_grid_closed_forms():
     plan = build_plan(grid, MethodParams.from_mu(1e-14, P, eta=6))
     expected_coeffs = np.zeros(P, dtype=complex)
     expected_coeffs[0] = -1.0
-    e_coef = float(np.abs(plan.kernel_data.coefficients - expected_coeffs).max())
+    e_coef = float(np.abs(plan.coefficients - expected_coeffs).max())
     expected_dl = P * np.exp(-2j * np.pi * np.arange(P) / P)
-    e_dl = relative_error(expected_dl, plan.kernel_data.derivative_samples)
+    e_dl = relative_error(expected_dl, plan.derivative_samples)
     A = rng.standard_normal(P) + 1j * rng.standard_normal(P)
     e_t4 = relative_error(np.fft.ifft(A), type4(plan, A))
     s = rng.standard_normal(P) + 1j * rng.standard_normal(P)

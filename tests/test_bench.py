@@ -168,6 +168,8 @@ def test_config_rejects_bad_jitter_and_method():
         TrialConfig(jitter_max=1.0)
     with pytest.raises(ValueError):
         TrialConfig(methods=("GE", "QR"))
+    with pytest.raises(ValueError):
+        TrialConfig(refine_passes=-1)
 
 
 def test_figure_protocol_defaults():

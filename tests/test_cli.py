@@ -155,6 +155,14 @@ def test_bench_smoke(tmp_path):
     assert len(text.splitlines()) > 3
 
 
+def test_bench_negative_passes_exit_code(tmp_path):
+    out = tmp_path / "fig1.csv"
+    rc = main(["bench", "--figure", "fig1", "--out", str(out), "--p", "16",
+               "--trials", "1", "--passes", "-1"])
+    assert rc == 2
+    assert not out.exists()
+
+
 def test_bench_out_dir_env(tmp_path, monkeypatch):
     monkeypatch.setenv("NUFFT1D_OUT_DIR", str(tmp_path))
     rc = main(["bench", "--figure", "fig7", "--p", "16", "--trials", "1",

@@ -9,6 +9,7 @@ from nufft1d import (
     ge_solve,
     generate_trial,
     nfft_type1,
+    nfft_type2,
     type4,
     type4_system,
     type5,
@@ -71,6 +72,20 @@ def test_flops_independent_of_data_values():
     nfft_type1(grid, rng.standard_normal(32) + 0j, 32, flops=c1)
     nfft_type1(grid, 100.0 * (rng.standard_normal(32) + 1j), 32, flops=c2)
     assert c1.report() == c2.report()
+
+
+def test_forward_pair_reports_identical():
+    # types 1 and 2 are transposes: one gridding charge covers both directions
+    grid, a = generate_trial(32, 8)
+    c1, c2 = FlopCounter(), FlopCounter()
+    nfft_type1(grid, a, 32, flops=c1)
+    nfft_type2(a, grid, flops=c2)
+    rep = c1.report()
+    assert rep == c2.report()
+    assert (rep.real_adds, rep.complex_adds, rep.real_muls, rep.complex_muls,
+            rep.complex_exps) == (0, 928, 1920, 32, 960)
+    assert rep.fft_invocations == (64,)
+    assert rep.total_flops == 12608
 
 
 def test_inverse_pair_reports_identical():

@@ -181,6 +181,14 @@ def test_conv_size_mismatch():
         nonuniform_conv(grid, randc(6, rng), randc(13, rng), 6)
 
 
+def test_conv_rejects_nonpositive_length():
+    rng = np.random.default_rng(14)
+    grid = jittered(6, rng)
+    for P in (0, -1, -4):
+        with pytest.raises(ValueError):
+            nonuniform_conv(grid, randc(6, rng), randc(8, rng), P)
+
+
 def test_conv_linearity():
     rng = np.random.default_rng(15)
     grid = jittered(7, rng)

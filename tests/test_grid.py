@@ -104,7 +104,7 @@ def test_method_params_factories():
     assert abs(mu_from_damping(p.damping_a, 256, 2) - 1e-12) / 1e-12 < 1e-12
     q = MethodParams.from_damping(p.damping_a, 256, 2)
     assert abs(q.mu - p.mu) / p.mu < 1e-12
-    assert p.spread_width == 14 and p.refine_passes == 1
+    assert p.spread_width == 14
 
 
 def test_method_params_validation():
@@ -114,8 +114,6 @@ def test_method_params_validation():
         MethodParams(damping_a=0.1, eta=0, mu=1e-9)
     with pytest.raises(ValueError):
         MethodParams(damping_a=0.1, eta=1, mu=2.0)
-    with pytest.raises(ValueError):
-        MethodParams(damping_a=0.1, eta=1, mu=1e-9, refine_passes=-1)
 
 
 def test_complex_vector_checks():

@@ -57,8 +57,8 @@ def test_plan_rebuild_deterministic():
     p1 = build_plan(grid, params)
     p2 = build_plan(grid, params)
     assert np.array_equal(p1.node_weights, p2.node_weights)
-    assert np.array_equal(p1.kernel_data.kernel_samples, p2.kernel_data.kernel_samples)
-    assert np.array_equal(p1.kernel_data.derivative_samples, p2.kernel_data.derivative_samples)
+    assert np.array_equal(p1.kernel_samples, p2.kernel_samples)
+    assert np.array_equal(p1.derivative_samples, p2.derivative_samples)
 
 
 def test_plan_fields_match_small_scale_oracles():
@@ -258,7 +258,7 @@ def test_refine_default_passes_from_params():
     rng = np.random.default_rng(13)
     P = 64
     grid = jittered(P, rng)
-    plan = build_plan(grid, std_params(P, refine_passes=1))
+    plan = build_plan(grid, std_params(P))
     A = randc(P, rng)
     assert np.array_equal(refine_type4(plan, A), refine_type4(plan, A, passes=1))
 
