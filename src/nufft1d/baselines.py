@@ -106,29 +106,33 @@ def cg_solve(
 
     Each iteration applies the system matrix and its Hermitian transpose,
     one type-1 and one type-2 fast transform, so the per-iteration cost is
-    FFT-order. Stops at relative recurred residual <= tol or at max_iter
-    (default 4P), returning the best iterate with a convergence flag.
+    FFT-order; all of them share one spreader built for the call. Stops at
+    relative recurred residual <= tol or at max_iter (default 4P), returning
+    the best iterate with a convergence flag.
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
     if which not in ("type4", "type5"):
         raise ValueError(f"unknown system kind {which!r}")
+    if max_iter is not None and max_iter < 0:
+        raise ValueError(f"iteration cap must be >= 0, got {max_iter}")
     b = as_complex_vector(rhs, length=grid.size, name="rhs")
     P = grid.size
     kernel = kernel_for_size(P, spread_width)
     if max_iter is None:
         max_iter = 4 * P
 
-    if which == "type4":
-        apply_A = lambda x: nfft_type1(grid, x, P, kernel=kernel, flops=flops)
-        apply_AH = lambda y: nfft_type2(y, grid, kernel=kernel, flops=flops)
-    else:
-        apply_A = lambda x: nfft_type2(x, grid, kernel=kernel, flops=flops)
-        apply_AH = lambda y: nfft_type1(grid, y, P, kernel=kernel, flops=flops)
-
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return CGResult(np.zeros(P, dtype=np.complex128), 0, True, 0.0)
+
+    spread = kernel.spreader(grid)
+    if which == "type4":
+        apply_A = lambda x: nfft_type1(grid, x, P, kernel=spread, flops=flops)
+        apply_AH = lambda y: nfft_type2(y, grid, kernel=spread, flops=flops)
+    else:
+        apply_A = lambda x: nfft_type2(x, grid, kernel=spread, flops=flops)
+        apply_AH = lambda y: nfft_type1(grid, y, P, kernel=spread, flops=flops)
 
     x = np.zeros(P, dtype=np.complex128)
     r = b.copy()

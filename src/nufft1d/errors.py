@@ -34,7 +34,7 @@ class SingularDerivativeError(NufftError):
 
 
 class SingularMatrixError(NufftError):
-    """Gaussian elimination hit a pivot below the singularity floor."""
+    """Gaussian elimination met an exactly zero pivot or returned a non-finite solution."""
 
 
 class NonConvergenceError(NufftError):

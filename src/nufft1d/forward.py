@@ -13,7 +13,7 @@ import numpy as np
 from .errors import SizeMismatchError
 from .flops import FlopCounter
 from .grid import NonuniformGrid, as_complex_vector
-from .gridding import GriddingKernel, cis_cycles, kernel_for_size
+from .gridding import GriddingKernel, Spreader, cis_cycles, kernel_for_size
 
 _DIRECT_BLOCK = 256
 
@@ -24,22 +24,32 @@ def _idft_unnormalized(V: np.ndarray) -> np.ndarray:
 
 
 def _gridding_kernel(
-    kernel: GriddingKernel | None,
+    kernel: GriddingKernel | Spreader | None,
+    grid: NonuniformGrid,
     size: int,
-    Q: int,
     flops: FlopCounter | None,
-) -> GriddingKernel:
-    """The kernel for a length-``size`` band, checked, with one transform charged.
+) -> Spreader:
+    """The spreader for a length-``size`` band on ``grid``, with one transform charged.
 
-    Types 1 and 2 are exact transposes, so one charge serves both: the band
-    shift at Q instants, Q * taps pulse samples spread or gathered, one
-    fine-grid FFT and the deconvolution on the band.
+    ``kernel`` is a kernel (None means the default for ``size``), from which
+    a spreader is built for this one transform, or a spreader a caller built
+    for ``grid`` to share between several transforms. The charge is per
+    transform either way, the paper's model: types 1 and 2 are exact
+    transposes, so one charge serves both: the band shift at Q instants,
+    Q * taps pulse samples spread or gathered, one fine-grid FFT and the
+    deconvolution on the band.
     """
+    spread = kernel if isinstance(kernel, Spreader) else None
+    if spread is not None:
+        if spread.grid is not grid and spread.grid != grid:
+            raise ValueError("spreader was built for another grid")
+        kernel = spread.kernel
     if kernel is None:
         kernel = kernel_for_size(size)
     elif kernel.size != size:
         raise SizeMismatchError(f"kernel built for size {kernel.size}, transform needs {size}")
     if flops is not None:
+        Q = grid.size
         flops.complex_exp(Q)                 # band-shift modulation phases
         flops.complex_mul(Q)
         flops.complex_exp(Q * kernel.taps)   # pulse evaluations
@@ -47,61 +57,47 @@ def _gridding_kernel(
         flops.complex_add(Q * kernel.taps)   # scatter or gather accumulation
         flops.fft(kernel.fine_size)
         flops.real_mul(2 * size)             # deconvolution
-    return kernel
+    return spread if spread is not None else kernel.spreader(grid)
 
 
 def nfft_type1(
     grid: NonuniformGrid,
     amplitudes,
     R: int,
-    kernel: GriddingKernel | None = None,
+    kernel: GriddingKernel | Spreader | None = None,
     flops: FlopCounter | None = None,
 ) -> np.ndarray:
     """Spectrum samples A(p) = sum_q a_q e^{-2 pi i p t_q} for p = 0..R-1.
 
     O(R log R + Q) via gridding; relative l2 error is at the kernel's
-    accuracy target (~5e-15 at the default spread width).
+    accuracy target (~5e-15 at the default spread width). ``kernel`` may
+    be a length-R kernel or a spreader built from one for this grid.
     """
     if R < 1:
         raise ValueError(f"output length must be >= 1, got {R}")
     a = as_complex_vector(amplitudes, length=grid.size, name="amplitudes")
-    kernel = _gridding_kernel(kernel, R, grid.size, flops)
-    t = grid.instants
-    amod = a * cis_cycles(-kernel.band_shift * np.asarray(t, dtype=np.longdouble))
-    idx, dist = kernel.spread_geometry(t)
-    w = kernel.weights(dist)
-    src = (amod[:, None] * w).ravel()
-    flat = idx.ravel()
-    n = kernel.fine_size
-    H = np.bincount(flat, weights=src.real, minlength=n) \
-        + 1j * np.bincount(flat, weights=src.imag, minlength=n)
-    spectrum = np.fft.fft(H)
-    return spectrum[kernel.bins] * kernel.deconv
+    spread = _gridding_kernel(kernel, grid, R, flops)
+    spectrum = np.fft.fft(spread.scatter(a))
+    return spectrum[spread.kernel.bins] * spread.kernel.deconv
 
 
 def nfft_type2(
     coefficients,
     grid: NonuniformGrid,
-    kernel: GriddingKernel | None = None,
+    kernel: GriddingKernel | Spreader | None = None,
     flops: FlopCounter | None = None,
 ) -> np.ndarray:
     """Polynomial values s(t_q) = sum_p S_p e^{+2 pi i p t_q} at the grid.
 
     Implemented as the exact Hermitian transpose of nfft_type1: deconvolve
     on the coefficient side, one unnormalized inverse FFT, then a windowed
-    gather at each instant.
+    gather at each instant. ``kernel`` is as for nfft_type1.
     """
     S = as_complex_vector(coefficients, name="coefficients")
-    kernel = _gridding_kernel(kernel, S.size, grid.size, flops)
-    t = grid.instants
-    n = kernel.fine_size
-    F = np.zeros(n, dtype=np.complex128)
-    F[kernel.bins] = S * kernel.deconv
-    y = _idft_unnormalized(F)
-    idx, dist = kernel.spread_geometry(t)
-    w = kernel.weights(dist)
-    out = np.einsum("qj,qj->q", w, y[idx])
-    return out * cis_cycles(kernel.band_shift * np.asarray(t, dtype=np.longdouble))
+    spread = _gridding_kernel(kernel, grid, S.size, flops)
+    F = np.zeros(spread.kernel.fine_size, dtype=np.complex128)
+    F[spread.kernel.bins] = S * spread.kernel.deconv
+    return spread.gather(_idft_unnormalized(F))
 
 
 def nfft_type1_direct(grid: NonuniformGrid, amplitudes, R: int) -> np.ndarray:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,12 +140,13 @@ class MethodParams:
     def __post_init__(self):
         if self.damping_a <= 0.0:
             raise NonPositiveDampingError(f"damping must be positive, got {self.damping_a!r}")
-        if int(self.eta) != self.eta or self.eta < 1:
-            raise ValueError(f"oversampling factor must be an integer >= 1, got {self.eta!r}")
+        for name in ("eta", "spread_width"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and float(value).is_integer() and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if not 0.0 < self.mu < 1.0:
             raise ValueError(f"truncation ratio must lie in (0, 1), got {self.mu!r}")
-        if self.spread_width < 1:
-            raise ValueError("spread_width must be >= 1")
 
     @classmethod
     def from_mu(cls, mu: float, P: int, eta: int = 1, **kwargs) -> "MethodParams":

@@ -11,6 +11,12 @@ Output frequencies 0..R-1 are handled by shifting the band to be centered
 K * t spans thousands of cycles, so it is reduced mod 1 in extended
 precision before exponentiation; in plain double the phase roundoff alone
 would cost ~1e-13 relative error at R = 4096.
+
+Spreading works on a padded fine grid of length n + 2m + 1, fine-grid
+point j - m held at padded index j, so no tap index is ever wrapped; the
+padded edges are folded back onto the periodic grid once per transform.
+A ``Spreader`` holds one grid's indices, pulse weights and band-shift
+phases, computed once and shared by every transform of a call.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import DEFAULT_SPREAD_WIDTH
+from .grid import DEFAULT_SPREAD_WIDTH, NonuniformGrid
 
 
 def cis_cycles(cycles) -> np.ndarray:
@@ -49,27 +55,78 @@ class GriddingKernel:
     band_shift: int           # K = R // 2, modulation making the band centered
     bins: np.ndarray          # fine-grid FFT bin of each output frequency
     deconv: np.ndarray        # 1 / (n Psi_nu), strictly positive, length R
+    fold: np.ndarray          # fine-grid bin of each padded-grid point, length n + 2m + 1
 
     @property
     def taps(self) -> int:
         return 2 * self.spread_width + 1
 
     def spread_geometry(self, instants: np.ndarray):
-        """Fine-grid indices and signed distances for each source instant.
+        """Padded fine-grid indices and signed distances for each source instant.
 
-        The product n * t is formed in extended precision so the fractional
-        offset carries full double accuracy.
+        Row q holds the taps' indices i0 + j, j = 0..2m, into the padded
+        grid of length n + 2m + 1 (``fold`` maps them to fine-grid bins
+        i0 + j - m mod n), where i0 = rint(n t_q) lies in [0, n]; and the
+        distances j - m - (n t_q - i0). The product n * t is formed in
+        extended precision so the fractional offset carries full double
+        accuracy.
         """
         u = self.fine_size * np.asarray(instants, dtype=np.longdouble)
         i0 = np.rint(u).astype(np.int64)
         frac = np.asarray(u - i0, dtype=np.float64)
-        offsets = np.arange(-self.spread_width, self.spread_width + 1)
-        idx = (i0[:, None] + offsets[None, :]) % self.fine_size
-        dist = offsets[None, :] - frac[:, None]
+        taps = np.arange(self.taps)
+        idx = i0[:, None] + taps[None, :]
+        dist = (taps - self.spread_width)[None, :] - frac[:, None]
         return idx, dist
 
     def weights(self, dist: np.ndarray) -> np.ndarray:
-        return np.exp(-(dist * dist) / (4.0 * self.shape_b))
+        w = dist * dist
+        w /= -4.0 * self.shape_b
+        return np.exp(w, out=w)
+
+    def spreader(self, grid: NonuniformGrid) -> "Spreader":
+        """Indices, pulse weights and band-shift phases of ``grid``, computed once."""
+        idx, dist = self.spread_geometry(grid.instants)
+        pulse = self.weights(dist)
+        phase = cis_cycles(self.band_shift * np.asarray(grid.instants, dtype=np.longdouble))
+        for arr in (idx, pulse, phase):
+            arr.setflags(write=False)
+        return Spreader(kernel=self, grid=grid, indices=idx, pulse=pulse, phase=phase)
+
+
+@dataclass(frozen=True, eq=False)
+class Spreader:
+    """One grid's gridding data for one kernel, shared by the transforms of a call.
+
+    ``indices`` and ``pulse`` are the (Q, taps) padded fine-grid indices and
+    pulse weights of ``kernel.spread_geometry`` and ``kernel.weights``;
+    ``phase`` is the band shift e^{+2 pi i K t_q}. It costs 16 bytes per tap;
+    its arrays are read-only, so it can be shared across threads.
+    """
+
+    kernel: GriddingKernel
+    grid: NonuniformGrid
+    indices: np.ndarray
+    pulse: np.ndarray
+    phase: np.ndarray
+
+    def scatter(self, values: np.ndarray) -> np.ndarray:
+        """Band-shifted values spread onto the periodic fine grid (length n)."""
+        shifted = values * np.conj(self.phase)
+        flat = self.indices.ravel()
+        fold = self.kernel.fold
+
+        def spread(part):
+            padded = np.bincount(flat, weights=(self.pulse * part[:, None]).ravel(),
+                                 minlength=fold.size)
+            return np.bincount(fold, weights=padded, minlength=self.kernel.fine_size)
+
+        return spread(shifted.real) + 1j * spread(shifted.imag)
+
+    def gather(self, fine: np.ndarray) -> np.ndarray:
+        """Windowed sums of the periodic fine-grid sequence at each instant, band-shifted."""
+        padded = fine[self.kernel.fold]
+        return np.einsum("qj,qj->q", self.pulse, padded[self.indices]) * self.phase
 
 
 @lru_cache(maxsize=64)
@@ -85,8 +142,9 @@ def kernel_for_size(size: int, spread_width: int = DEFAULT_SPREAD_WIDTH) -> Grid
     nu = np.arange(size) - K
     deconv = np.exp(b * (2.0 * np.pi * nu / n) ** 2) / np.sqrt(4.0 * np.pi * b)
     bins = nu % n
-    deconv.setflags(write=False)
-    bins.setflags(write=False)
+    fold = (np.arange(n + 2 * spread_width + 1) - spread_width) % n
+    for arr in (deconv, bins, fold):
+        arr.setflags(write=False)
     return GriddingKernel(
         size=size,
         spread_width=spread_width,
@@ -95,4 +153,5 @@ def kernel_for_size(size: int, spread_width: int = DEFAULT_SPREAD_WIDTH) -> Grid
         band_shift=K,
         bins=bins,
         deconv=deconv,
+        fold=fold,
     )

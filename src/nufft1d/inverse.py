@@ -130,6 +130,18 @@ def _charge_solve(P: int, flops: FlopCounter | None):
         flops.fft(P)                # coefficient recovery
 
 
+def _type5(plan: InversePlan, s: np.ndarray, spread, flops) -> np.ndarray:
+    A = nfft_type1(plan.grid, s * plan.node_weights, plan.size, kernel=spread, flops=flops)
+    _charge_solve(plan.size, flops)
+    return _coefficients(plan, A)
+
+
+def _type4(plan: InversePlan, A: np.ndarray, spread, flops) -> np.ndarray:
+    s_nodes = nfft_type2(_coefficients(plan, A), plan.grid, kernel=spread, flops=flops)
+    _charge_solve(plan.size, flops)
+    return s_nodes * plan.node_weights
+
+
 def type5(plan: InversePlan, samples, flops: FlopCounter | None = None) -> np.ndarray:
     """Coefficients S with sum_p S_p e^{2 pi i p t_q} = samples_q.
 
@@ -137,10 +149,7 @@ def type5(plan: InversePlan, samples, flops: FlopCounter | None = None) -> np.nd
     the shared coefficient recovery.
     """
     s = as_complex_vector(samples, length=plan.size, name="samples")
-    A = nfft_type1(plan.grid, s * plan.node_weights, plan.size, kernel=plan.kernel_base,
-                   flops=flops)
-    _charge_solve(plan.size, flops)
-    return _coefficients(plan, A)
+    return _type5(plan, s, plan.kernel_base, flops)
 
 
 def type4(plan: InversePlan, spectrum, flops: FlopCounter | None = None) -> np.ndarray:
@@ -151,20 +160,19 @@ def type4(plan: InversePlan, spectrum, flops: FlopCounter | None = None) -> np.n
     the exact transpose of type5.
     """
     A = as_complex_vector(spectrum, length=plan.size, name="spectrum")
-    s_nodes = nfft_type2(_coefficients(plan, A), plan.grid, kernel=plan.kernel_base,
-                         flops=flops)
-    _charge_solve(plan.size, flops)
-    return s_nodes * plan.node_weights
+    return _type4(plan, A, plan.kernel_base, flops)
 
 
 def _refine(plan, data, passes, solve, forward, flops):
+    """Solve, then ``passes`` residual corrections, every transform on one spreader."""
     if passes < 0:
         raise ValueError(f"refinement passes must be >= 0, got {passes}")
-    x = solve(plan, data, flops=flops)
+    spread = plan.kernel_base.spreader(plan.grid)
+    x = solve(plan, data, spread, flops)
     P = plan.size
     prev_norm = None
     for _ in range(passes):
-        residual = forward(x) - data
+        residual = forward(x, spread) - data
         if flops is not None:
             flops.complex_add(2 * P)    # residual and correction subtractions
         norm = float(np.linalg.norm(residual))
@@ -174,7 +182,7 @@ def _refine(plan, data, passes, solve, forward, flops):
                 "method error >= 1 at these parameters"
             )
         prev_norm = norm
-        x = x - solve(plan, residual, flops=flops)
+        x = x - solve(plan, residual, spread, flops)
     return x
 
 
@@ -193,10 +201,10 @@ def refine_type4(
     """
     A = as_complex_vector(spectrum, length=plan.size, name="spectrum")
 
-    def forward(x):
-        return nfft_type1(plan.grid, x, plan.size, kernel=plan.kernel_base, flops=flops)
+    def forward(x, spread):
+        return nfft_type1(plan.grid, x, plan.size, kernel=spread, flops=flops)
 
-    return _refine(plan, A, passes, type4, forward, flops)
+    return _refine(plan, A, passes, _type4, forward, flops)
 
 
 def refine_type5(
@@ -208,7 +216,7 @@ def refine_type5(
     """type5 plus residual-correction passes (sample-domain residuals)."""
     s = as_complex_vector(samples, length=plan.size, name="samples")
 
-    def forward(x):
-        return nfft_type2(x, plan.grid, kernel=plan.kernel_base, flops=flops)
+    def forward(x, spread):
+        return nfft_type2(x, plan.grid, kernel=spread, flops=flops)
 
-    return _refine(plan, s, passes, type5, forward, flops)
+    return _refine(plan, s, passes, _type5, forward, flops)

@@ -3,6 +3,7 @@ import pytest
 
 from nufft1d import (
     DenseSystem,
+    GriddingKernel,
     SingularMatrixError,
     cg_solve,
     ge_solve,
@@ -136,3 +137,21 @@ def test_cg_rejects_bad_arguments():
         cg_solve(grid, np.ones(8), which="type3")
     with pytest.raises(ValueError):
         cg_solve(grid, np.ones(8), spread_width=0)
+    with pytest.raises(ValueError):
+        cg_solve(grid, np.ones(8), max_iter=-3)
+
+
+@pytest.mark.parametrize("which", ["type4", "type5"])
+def test_cg_builds_one_spreader_per_call(which, monkeypatch):
+    grid, a_true = generate_trial(32, 24)
+    calls = []
+    geometry = GriddingKernel.spread_geometry
+
+    def counted(self, instants):
+        calls.append(self.size)
+        return geometry(self, instants)
+
+    monkeypatch.setattr(GriddingKernel, "spread_geometry", counted)
+    res = cg_solve(grid, nfft_type1_direct(grid, a_true, 32), which=which, tol=1e-12)
+    assert res.iterations > 1
+    assert calls == [32]

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from nufft1d import ge_solve, generate_trial, nfft_type1_direct, type5_system
 from nufft1d.cli import main
@@ -130,10 +131,13 @@ def test_numeric_failure_exit_code(tmp_path, capsys):
     assert "NonPositiveDamping" in capsys.readouterr().err
 
 
-def test_verify_quick(capsys):
-    assert main(["verify", "--level", "quick"]) == 0
+@pytest.mark.parametrize("level", ["quick", "full"])
+def test_verify_quick(level, capsys):
+    assert main(["verify", "--level", level]) == 0
     out = capsys.readouterr().out
     assert "kernel-coefficient-recovery" in out
+    if level == "full":
+        assert "flop-duality" in out and "refinement-contraction" in out
 
 
 def test_verify_fault_injection(capsys):

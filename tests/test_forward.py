@@ -202,6 +202,45 @@ def test_conv_linearity():
     assert rel(rhs, lhs) < 1e-11
 
 
+# --- shared spreader on the padded fine grid -----------------------------------
+
+@pytest.mark.parametrize("R", [1, 2, 5, 16])
+def test_padded_grid_edges_and_short_fine_grids(R):
+    # rint(n t) = n at the last instant, the last padded point; for R <= 5 the
+    # fine grid (2R points) is shorter than the 29-tap pulse and wraps repeatedly.
+    grid = validate_grid([0.0, 0.3, 0.7, np.nextafter(1.0, 0.0)], min_gap=1e-17)
+    rng = np.random.default_rng(20 + R)
+    a, S = randc(4, rng), randc(R, rng)
+    assert rel(nfft_type1_direct(grid, a, R), nfft_type1(grid, a, R)) < 1e-12
+    assert rel(nfft_type2_direct(S, grid), nfft_type2(S, grid)) < 1e-12
+
+
+def test_spreader_shared_across_transforms():
+    rng = np.random.default_rng(21)
+    P = 48
+    grid = jittered(P, rng)
+    kernel = kernel_for_size(P)
+    spread = kernel.spreader(grid)
+    a, S = randc(P, rng), randc(P, rng)
+    assert np.array_equal(nfft_type1(grid, a, P, kernel=spread), nfft_type1(grid, a, P, kernel=kernel))
+    assert np.array_equal(nfft_type2(S, grid, kernel=spread), nfft_type2(S, grid, kernel=kernel))
+    same = validate_grid(grid.instants)   # an equal grid, another object
+    assert np.array_equal(nfft_type1(same, a, P, kernel=spread), nfft_type1(grid, a, P))
+
+
+def test_spreader_for_another_grid_rejected():
+    rng = np.random.default_rng(22)
+    P = 16
+    grid, other = jittered(P, rng), jittered(P, rng)
+    spread = kernel_for_size(P).spreader(other)
+    with pytest.raises(ValueError, match="another grid"):
+        nfft_type1(grid, randc(P, rng), P, kernel=spread)
+    with pytest.raises(ValueError, match="another grid"):
+        nfft_type2(randc(P, rng), grid, kernel=spread)
+    with pytest.raises(SizeMismatchError):
+        nfft_type1(other, randc(P, rng), 2 * P, kernel=spread)
+
+
 def test_accuracy_improves_with_spread_width():
     rng = np.random.default_rng(16)
     P = 32

@@ -9,6 +9,7 @@ from nufft1d import (
     NonPositiveDampingError,
     OutOfRangeError,
     as_complex_vector,
+    build_plan,
     damping_from_mu,
     mu_from_damping,
     validate_grid,
@@ -114,6 +115,21 @@ def test_method_params_validation():
         MethodParams(damping_a=0.1, eta=0, mu=1e-9)
     with pytest.raises(ValueError):
         MethodParams(damping_a=0.1, eta=1, mu=2.0)
+    with pytest.raises(ValueError):
+        MethodParams(damping_a=0.1, eta=2.5, mu=1e-9)
+    with pytest.raises(ValueError):
+        MethodParams(damping_a=0.1, eta=1, mu=1e-9, spread_width=14.5)
+    with pytest.raises(ValueError):
+        MethodParams(damping_a=0.1, eta=1, mu=1e-9, spread_width=0)
+
+
+def test_method_params_integral_floats_stored_as_int():
+    p = MethodParams.from_mu(1e-12, 16, eta=2.0, spread_width=14.0)
+    assert type(p.eta) is int and type(p.spread_width) is int
+    assert (p.eta, p.spread_width) == (2, 14)
+    grid = validate_grid(np.arange(16) / 16 + 0.01)
+    q = MethodParams.from_mu(1e-12, 16, eta=2, spread_width=14)
+    assert np.array_equal(build_plan(grid, p).node_weights, build_plan(grid, q).node_weights)
 
 
 def test_complex_vector_checks():

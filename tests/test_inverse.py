@@ -3,6 +3,7 @@ import pytest
 
 from nufft1d import (
     FlopCounter,
+    GriddingKernel,
     MethodParams,
     NonConvergenceError,
     build_plan,
@@ -213,6 +214,23 @@ def test_refine_zero_passes_is_plain():
     assert np.array_equal(refine_type4(plan, A, passes=0), type4(plan, A))
     s = randc(P, rng)
     assert np.array_equal(refine_type5(plan, s, passes=0), type5(plan, s))
+
+
+@pytest.mark.parametrize("refine", [refine_type4, refine_type5])
+def test_refine_builds_one_spreader_per_call(refine, monkeypatch):
+    rng = np.random.default_rng(13)
+    P = 32
+    plan = build_plan(jittered(P, rng), std_params(P))
+    calls = []
+    geometry = GriddingKernel.spread_geometry
+
+    def counted(self, instants):
+        calls.append(self.size)
+        return geometry(self, instants)
+
+    monkeypatch.setattr(GriddingKernel, "spread_geometry", counted)
+    refine(plan, randc(P, rng), passes=1)
+    assert calls == [P]
 
 
 def test_refine_rejects_negative_passes():
