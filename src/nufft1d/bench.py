@@ -30,10 +30,12 @@ from .errors import (
 )
 from .flops import FlopCounter
 from .forward import nfft_type1_direct
-from .grid import MethodParams, validate_grid
+from .grid import DEFAULT_SPREAD_WIDTH, MethodParams, validate_grid
 from .inverse import build_plan, refine_type4, type4
 
 GE_SIZE_CAP = 8192
+
+CG_TOL = 1e-15
 
 MU_SWEEP_DEFAULT = tuple(float(m) for m in np.logspace(-18.0, -4.0, 29))
 
@@ -55,9 +57,8 @@ class TrialConfig:
     seed: int = 0
     methods: tuple[str, ...] = ALL_METHODS
     jitter_max: float = 0.6
-    spread_width: int = 14
+    spread_width: int = DEFAULT_SPREAD_WIDTH
     refine_passes: int = 1
-    cg_tol: float = 1e-15
 
     def __post_init__(self):
         if not 0.0 <= self.jitter_max < 1.0:
@@ -112,21 +113,6 @@ def to_db(error_linear: float) -> float:
     return 20.0 * math.log10(error_linear)
 
 
-def _result(p, eta, mu, method, trial, err, counter, cg_iters, seed):
-    return TrialResult(
-        p=p,
-        eta=eta,
-        mu=mu,
-        method=method,
-        trial=trial,
-        error_linear=err,
-        error_db=to_db(err),
-        total_flops=counter.report().total_flops,
-        cg_iterations=cg_iters,
-        seed=seed,
-    )
-
-
 def run_sweep(config: TrialConfig) -> list[TrialResult]:
     """Run every (P, trial, method, eta, mu) combination of the config.
 
@@ -151,25 +137,28 @@ def run_sweep(config: TrialConfig) -> list[TrialResult]:
                 grid, a_true = generate_trial(P, tseed, config.jitter_max)
                 spectrum = nfft_type1_direct(grid, a_true, P)
 
+                def record(method, x, counter, eta=None, mu=None, cg_iterations=None):
+                    err = relative_error(a_true, x)
+                    results.append(TrialResult(
+                        p=P, eta=eta, mu=mu, method=method, trial=trial,
+                        error_linear=err, error_db=to_db(err),
+                        total_flops=counter.report().total_flops,
+                        cg_iterations=cg_iterations, seed=tseed,
+                    ))
+
                 if METHOD_GE in config.methods:
                     counter = FlopCounter()
                     x = ge_solve(type4_system(grid, spectrum, flops=counter), flops=counter)
-                    results.append(_result(
-                        P, None, None, METHOD_GE, trial,
-                        relative_error(a_true, x), counter, None, tseed,
-                    ))
+                    record(METHOD_GE, x, counter)
                 if METHOD_CG in config.methods:
                     counter = FlopCounter()
                     res = cg_solve(
                         grid, spectrum, "type4",
-                        tol=config.cg_tol,
+                        tol=CG_TOL,
                         spread_width=config.spread_width,
                         flops=counter,
                     )
-                    results.append(_result(
-                        P, None, None, METHOD_CG, trial,
-                        relative_error(a_true, res.solution), counter, res.iterations, tseed,
-                    ))
+                    record(METHOD_CG, res.solution, counter, cg_iterations=res.iterations)
                 if not fast:
                     continue
                 for eta in config.eta:
@@ -186,10 +175,7 @@ def run_sweep(config: TrialConfig) -> list[TrialResult]:
                             counter = FlopCounter()
                             counter.merge(plan_counter)
                             x = type4(plan, spectrum, flops=counter)
-                            results.append(_result(
-                                P, eta, mu, METHOD_NFFT, trial,
-                                relative_error(a_true, x), counter, None, tseed,
-                            ))
+                            record(METHOD_NFFT, x, counter, eta, mu)
                         if METHOD_RNFFT in config.methods:
                             counter = FlopCounter()
                             counter.merge(plan_counter)
@@ -199,10 +185,7 @@ def run_sweep(config: TrialConfig) -> list[TrialResult]:
                                 )
                             except NonConvergenceError:
                                 continue
-                            results.append(_result(
-                                P, eta, mu, METHOD_RNFFT, trial,
-                                relative_error(a_true, x), counter, None, tseed,
-                            ))
+                            record(METHOD_RNFFT, x, counter, eta, mu)
     return results
 
 

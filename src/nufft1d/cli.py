@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .bench import (
 )
 from .errors import NufftError
 from .forward import nfft_type1, nfft_type1_direct, nfft_type2, nfft_type2_direct
-from .grid import MethodParams, validate_grid
+from .grid import DEFAULT_SPREAD_WIDTH, MethodParams, validate_grid
 from .gridding import kernel_for_size
 from .inverse import build_plan, refine_type4, refine_type5
 from .vecio import (
@@ -63,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group = tr.add_mutually_exclusive_group()
     group.add_argument("--mu", type=float, default=None, help="truncation ratio (types 4/5)")
     group.add_argument("--a", type=float, default=None, help="damping factor (types 4/5)")
-    tr.add_argument("--spread", type=int, default=14, help="gridding half-width")
+    tr.add_argument("--spread", type=int, default=DEFAULT_SPREAD_WIDTH, help="gridding half-width")
     tr.add_argument("--passes", type=int, default=0,
                     help="refinement passes for types 4/5 (0 = plain method)")
     tr.add_argument("--check-roundtrip", action="store_true",
@@ -72,15 +72,17 @@ def _build_parser() -> argparse.ArgumentParser:
     be = sub.add_parser("bench", help="run a figure-protocol benchmark sweep")
     be.add_argument("--figure", choices=sorted(FIGURE_DEFAULTS), required=True)
     be.add_argument("--out", default=None, help="results CSV (default <figure>.csv)")
+    # every TrialConfig field is an option of that dest name; _cmd_bench copies those set
     be.add_argument("--p", type=int, nargs="+", default=None)
     be.add_argument("--eta", type=int, nargs="+", default=None)
     be.add_argument("--mu", type=float, nargs="+", default=None)
     be.add_argument("--trials", type=int, default=None)
     be.add_argument("--seed", type=int, default=None)
-    be.add_argument("--method", nargs="+", choices=ALL_METHODS, default=None)
-    be.add_argument("--jitter", type=float, default=None, help="max node shift * P")
-    be.add_argument("--spread", type=int, default=None)
-    be.add_argument("--passes", type=int, default=None)
+    be.add_argument("--method", nargs="+", choices=ALL_METHODS, default=None, dest="methods")
+    be.add_argument("--jitter", type=float, default=None, help="max node shift * P",
+                    dest="jitter_max", metavar="JITTER")
+    be.add_argument("--spread", type=int, default=None, dest="spread_width", metavar="SPREAD")
+    be.add_argument("--passes", type=int, default=None, dest="refine_passes", metavar="PASSES")
     be.add_argument("--dense-cap", type=int, default=None,
                     help="largest P at which GE/CG rows are computed")
 
@@ -98,46 +100,38 @@ def _solve_params(args, P: int) -> MethodParams:
     return MethodParams.from_mu(mu, P, args.eta, **kwargs)
 
 
+def _fail(exc: Exception, code: int) -> int:
+    name = f"{type(exc).__name__}: " if isinstance(exc, NufftError) else ""
+    print(f"error: {name}{exc}", file=sys.stderr)
+    return code
+
+
 def _cmd_transform(args) -> int:
     try:
         grid = validate_grid(read_grid_file(args.grid))
-        data = read_vector_file(args.data)
     except NufftError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        # an unusable grid file is bad input, not a numeric failure
+        return _fail(exc, EXIT_PARSE)
+    data = read_vector_file(args.data)
     Q = grid.size
-    try:
-        if args.kind == 1:
-            if data.size != Q:
-                raise ValueError(f"amplitude count {data.size} != grid size {Q}")
-            R = args.p if args.p is not None else Q
-            out = nfft_type1(grid, data, R, kernel=kernel_for_size(R, args.spread))
-        elif args.kind == 2:
-            out = nfft_type2(data, grid, kernel=kernel_for_size(data.size, args.spread))
+    if args.kind == 1:
+        if data.size != Q:
+            raise ValueError(f"amplitude count {data.size} != grid size {Q}")
+        R = args.p if args.p is not None else Q
+        out = nfft_type1(grid, data, R, kernel=kernel_for_size(R, args.spread))
+    elif args.kind == 2:
+        out = nfft_type2(data, grid, kernel=kernel_for_size(data.size, args.spread))
+    else:
+        if data.size != Q:
+            raise ValueError(f"data length {data.size} != grid size {Q}")
+        params = _solve_params(args, Q)
+        plan = build_plan(grid, params)
+        if args.kind == 4:
+            out = refine_type4(plan, data, passes=args.passes)
         else:
-            if data.size != Q:
-                raise ValueError(f"data length {data.size} != grid size {Q}")
-            params = _solve_params(args, Q)
-            plan = build_plan(grid, params)
-            if args.kind == 4:
-                out = refine_type4(plan, data, passes=args.passes)
-            else:
-                out = refine_type5(plan, data, passes=args.passes)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except NufftError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    try:
-        _ensure_parent(args.out)
-        write_vector_file(args.out, out)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+            out = refine_type5(plan, data, passes=args.passes)
+    _ensure_parent(args.out)
+    write_vector_file(args.out, out)
     if args.check_roundtrip and args.kind in (4, 5):
         if args.kind == 4:
             recon = nfft_type1_direct(grid, out, Q)
@@ -150,43 +144,17 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    base = FIGURE_DEFAULTS[args.figure]
-    overrides = {}
-    if args.p is not None:
-        overrides["p"] = tuple(args.p)
-    if args.eta is not None:
-        overrides["eta"] = tuple(args.eta)
-    if args.mu is not None:
-        overrides["mu"] = tuple(args.mu)
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.method is not None:
-        overrides["methods"] = tuple(args.method)
-    if args.jitter is not None:
-        overrides["jitter_max"] = args.jitter
-    if args.spread is not None:
-        overrides["spread_width"] = args.spread
-    if args.passes is not None:
-        overrides["refine_passes"] = args.passes
-    try:
-        config = replace(base, **overrides)
-        records, meta = run_figure(args.figure, config, dense_cap=args.dense_cap)
-    except NufftError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    overrides = {
+        f.name: tuple(v) if isinstance(v, list) else v
+        for f in fields(TrialConfig)
+        if (v := getattr(args, f.name)) is not None
+    }
+    config = replace(FIGURE_DEFAULTS[args.figure], **overrides)
+    records, meta = run_figure(args.figure, config, dense_cap=args.dense_cap)
     meta["version"] = __version__
     out = args.out if args.out else os.path.join(default_out_dir(), f"{args.figure}.csv")
-    try:
-        _ensure_parent(out)
-        write_results_csv(out, records, meta)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    _ensure_parent(out)
+    write_results_csv(out, records, meta)
     print(f"wrote {out} ({len(records)} rows)")
     return EXIT_OK
 
@@ -204,13 +172,17 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {"transform": _cmd_transform, "bench": _cmd_bench, "verify": _cmd_verify}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "transform":
-        return _cmd_transform(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    return _cmd_verify(args)
+    try:
+        return _COMMANDS[args.command](args)
+    except NufftError as exc:
+        return _fail(exc, EXIT_NUMERIC)
+    except (ValueError, OSError) as exc:
+        return _fail(exc, EXIT_PARSE)
 
 
 if __name__ == "__main__":

@@ -133,7 +133,7 @@ def nonuniform_conv(
     amplitudes,
     lam_coefficients,
     P: int,
-    kernel: GriddingKernel | None = None,
+    kernel: GriddingKernel | Spreader | None = None,
     flops: FlopCounter | None = None,
 ) -> np.ndarray:
     """Samples of gamma(t) = sum_q a_q lam(t - t_q) on the regular grid {q/P}.

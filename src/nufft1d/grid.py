@@ -37,21 +37,14 @@ def as_complex_vector(values, length: int | None = None, name: str = "vector") -
 class NonuniformGrid:
     """Sampling instants in [0, 1), pairwise distinct.
 
-    ``instants`` keeps the caller's ordering; ``order`` is the permutation
-    that sorts it ascending. All transform outputs follow caller order.
+    ``instants`` keeps the caller's ordering; all transform outputs follow it.
     """
 
     instants: np.ndarray
-    order: np.ndarray
-    min_gap: float
 
     @property
     def size(self) -> int:
         return self.instants.size
-
-    @property
-    def sorted_instants(self) -> np.ndarray:
-        return self.instants[self.order]
 
     def __eq__(self, other):
         if not isinstance(other, NonuniformGrid):
@@ -80,9 +73,8 @@ def validate_grid(instants, min_gap: float = DEFAULT_MIN_GAP) -> NonuniformGrid:
     if np.any(t < 0.0) or np.any(t >= 1.0):
         bad = t[(t < 0.0) | (t >= 1.0)][0]
         raise OutOfRangeError(f"instant {bad!r} outside the fundamental period [0, 1)")
-    order = np.argsort(t, kind="stable")
     if t.size > 1:
-        ts = t[order]
+        ts = np.sort(t, kind="stable")
         gaps = np.empty(t.size)
         gaps[:-1] = np.diff(ts)
         gaps[-1] = 1.0 - ts[-1] + ts[0]
@@ -93,8 +85,7 @@ def validate_grid(instants, min_gap: float = DEFAULT_MIN_GAP) -> NonuniformGrid:
             )
     t = t.copy()
     t.setflags(write=False)
-    order.setflags(write=False)
-    return NonuniformGrid(instants=t, order=order, min_gap=min_gap)
+    return NonuniformGrid(instants=t)
 
 
 def damping_from_mu(mu: float, P: int, eta: int) -> float:

@@ -73,10 +73,14 @@ def build_plan(
     a = params.damping_a
     kernel_fine = kernel_for_size(params.eta * P, params.spread_width)
     kernel_base = kernel_for_size(P, params.spread_width)
-    v = compute_v_samples(grid, params, kernel=kernel_fine, flops=flops)
+    fine, base = kernel_fine, kernel_base
+    if kernel_fine is kernel_base:
+        # eta = 1: both stages grid these nodes with one kernel, so build its spreader once
+        fine = base = kernel_base.spreader(grid)
+    v = compute_v_samples(grid, params, kernel=fine, flops=flops)
     ks = kernel_samples_from_v(v, grid, flops=flops)
     coeffs = kernel_coefficients(ks, params, flops=flops)
-    dL = derivative_samples(coeffs, grid, kernel=kernel_base, flops=flops)
+    dL = derivative_samples(coeffs, grid, kernel=base, flops=flops)
 
     p = np.arange(P)
     decay = np.exp(-2.0 * np.pi * p * a)

@@ -20,7 +20,7 @@ from .errors import AmplificationWarning, KernelOverflowError, SingularDerivativ
 from .flops import FlopCounter
 from .forward import nfft_type2, nonuniform_conv
 from .grid import MethodParams, NonuniformGrid, as_complex_vector
-from .gridding import GriddingKernel, kernel_for_size
+from .gridding import GriddingKernel, Spreader, kernel_for_size
 
 # exp(|Re v|) must stay clear of the double-precision overflow threshold
 OVERFLOW_MARGIN = 16.0
@@ -47,7 +47,7 @@ def series_coefficients(damping_a: float, R: int, flops: FlopCounter | None = No
 def compute_v_samples(
     grid: NonuniformGrid,
     params: MethodParams,
-    kernel: GriddingKernel | None = None,
+    kernel: GriddingKernel | Spreader | None = None,
     flops: FlopCounter | None = None,
 ) -> np.ndarray:
     """v(q/P) = sum_p log(1 - e^{2 pi i (q/P - t_p + i a)}), via one nonuniform
@@ -137,7 +137,7 @@ def kernel_coefficients(
 def derivative_samples(
     coefficients,
     grid: NonuniformGrid,
-    kernel: GriddingKernel | None = None,
+    kernel: GriddingKernel | Spreader | None = None,
     flops: FlopCounter | None = None,
 ) -> np.ndarray:
     """L'(e^{2 pi i t_p}) by evaluating the differentiated coefficients.

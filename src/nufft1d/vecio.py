@@ -8,9 +8,9 @@ CSV with a single '#'-prefixed metadata line ahead of the header.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import os
+from dataclasses import fields
 
 import numpy as np
 
@@ -18,10 +18,24 @@ from .bench import TrialResult
 
 _FMT = "%.17g"
 
-RESULT_COLUMNS = (
-    "p", "eta", "mu", "method", "trial",
-    "error_linear", "error_db", "total_flops", "cg_iterations", "seed",
-)
+RESULT_COLUMNS = tuple(f.name for f in fields(TrialResult))
+
+
+def _read_rows(path, width: int, expected: str, kind: str) -> np.ndarray:
+    """(n, width) floats, one row per line; blank and '#' lines are skipped."""
+    rows = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != width:
+                raise ValueError(f"{path}:{lineno}: expected {expected}, got {line!r}")
+            rows.append([float(x) for x in parts])
+    if not rows:
+        raise ValueError(f"{path}: no {kind} entries found")
+    return np.array(rows, dtype=np.float64)
 
 
 def write_vector_file(path, values):
@@ -32,19 +46,8 @@ def write_vector_file(path, values):
 
 
 def read_vector_file(path) -> np.ndarray:
-    rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 're im', got {line!r}")
-            rows.append(complex(float(parts[0]), float(parts[1])))
-    if not rows:
-        raise ValueError(f"{path}: no vector entries found")
-    return np.asarray(rows, dtype=np.complex128)
+    # a complex view of the (re, im) rows keeps every bit, signed zeros included
+    return _read_rows(path, 2, "'re im'", "vector").view(np.complex128).ravel()
 
 
 def write_grid_file(path, instants):
@@ -55,19 +58,7 @@ def write_grid_file(path, instants):
 
 
 def read_grid_file(path) -> np.ndarray:
-    rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 1:
-                raise ValueError(f"{path}:{lineno}: expected one instant per line, got {line!r}")
-            rows.append(float(parts[0]))
-    if not rows:
-        raise ValueError(f"{path}: no grid entries found")
-    return np.asarray(rows, dtype=np.float64)
+    return _read_rows(path, 1, "one instant per line", "grid").ravel()
 
 
 def _format_field(value):
@@ -88,37 +79,6 @@ def write_results_csv(path, records: list[TrialResult], metadata: dict):
         writer.writerow(RESULT_COLUMNS)
         for r in records:
             writer.writerow([_format_field(getattr(r, col)) for col in RESULT_COLUMNS])
-
-
-def read_results_csv(path):
-    """Parse a results file back into (records, metadata)."""
-    with open(path) as fh:
-        first = fh.readline()
-        metadata = {}
-        if first.startswith("#"):
-            for token in first[1:].split():
-                if "=" in token:
-                    k, v = token.split("=", 1)
-                    metadata[k] = v
-            body = fh.read()
-        else:
-            body = first + fh.read()
-    records = []
-    reader = csv.DictReader(io.StringIO(body))
-    for row in reader:
-        records.append(TrialResult(
-            p=int(row["p"]),
-            eta=int(row["eta"]) if row["eta"] else None,
-            mu=float(row["mu"]) if row["mu"] else None,
-            method=row["method"],
-            trial=int(row["trial"]),
-            error_linear=float(row["error_linear"]),
-            error_db=float(row["error_db"]),
-            total_flops=int(row["total_flops"]),
-            cg_iterations=int(row["cg_iterations"]) if row["cg_iterations"] else None,
-            seed=int(row["seed"]),
-        ))
-    return records, metadata
 
 
 def default_out_dir() -> str:

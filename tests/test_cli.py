@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from nufft1d import ge_solve, generate_trial, nfft_type1_direct, type5_system
+from nufft1d import cli, ge_solve, generate_trial, nfft_type1_direct, type5_system
+from nufft1d.bench import FIGURE_DEFAULTS
 from nufft1d.cli import main
 from nufft1d.vecio import read_vector_file, write_grid_file, write_vector_file
 
@@ -167,6 +174,30 @@ def test_bench_negative_passes_exit_code(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, overrides, dense_cap", [
+    (["--p", "16", "32"], {"p": (16, 32)}, None),
+    (["--eta", "1", "3"], {"eta": (1, 3)}, None),
+    (["--mu", "1e-9"], {"mu": (1e-9,)}, None),
+    (["--trials", "4"], {"trials": 4}, None),
+    (["--seed", "11"], {"seed": 11}, None),
+    (["--method", "CG", "NFFT"], {"methods": ("CG", "NFFT")}, None),
+    (["--jitter", "0.3"], {"jitter_max": 0.3}, None),
+    (["--spread", "9"], {"spread_width": 9}, None),
+    (["--passes", "2"], {"refine_passes": 2}, None),
+    (["--dense-cap", "64"], {}, 64),
+])
+def test_bench_options_reach_run_figure(argv, overrides, dense_cap, tmp_path, monkeypatch):
+    seen = []
+
+    def run_figure(name, config, dense_cap=None):
+        seen.append((name, config, dense_cap))
+        return [], {}
+
+    monkeypatch.setattr(cli, "run_figure", run_figure)
+    assert main(["bench", "--figure", "fig2", "--out", str(tmp_path / "f.csv"), *argv]) == 0
+    assert seen == [("fig2", replace(FIGURE_DEFAULTS["fig2"], **overrides), dense_cap)]
+
+
 def test_bench_out_dir_env(tmp_path, monkeypatch):
     monkeypatch.setenv("NUFFT1D_OUT_DIR", str(tmp_path))
     rc = main(["bench", "--figure", "fig7", "--p", "16", "--trials", "1",
@@ -201,3 +232,19 @@ def test_invalid_grid_file_exit_code(tmp_path, capsys):
                "--data", str(data), "--out", str(tmp_path / "o.txt")])
     assert rc == 2
     assert "OutOfRange" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["verify", "--level", "quick"], 0),
+    (["transform", "--type", "2", "--grid", "missing-grid.txt",
+      "--data", "missing-data.txt", "--out", "o.txt"], 2),
+])
+def test_module_entry_point_exit_status(argv, status, tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    run = subprocess.run([sys.executable, "-m", "nufft1d.cli", *argv], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == status
+    if status:
+        assert run.stderr.startswith("error: ") and "missing-grid.txt" in run.stderr

@@ -216,11 +216,9 @@ def test_refine_zero_passes_is_plain():
     assert np.array_equal(refine_type5(plan, s, passes=0), type5(plan, s))
 
 
-@pytest.mark.parametrize("refine", [refine_type4, refine_type5])
-def test_refine_builds_one_spreader_per_call(refine, monkeypatch):
-    rng = np.random.default_rng(13)
-    P = 32
-    plan = build_plan(jittered(P, rng), std_params(P))
+@pytest.fixture
+def geometry_calls(monkeypatch):
+    """Kernel sizes of every ``GriddingKernel.spread_geometry`` call, one per spreader."""
     calls = []
     geometry = GriddingKernel.spread_geometry
 
@@ -229,8 +227,26 @@ def test_refine_builds_one_spreader_per_call(refine, monkeypatch):
         return geometry(self, instants)
 
     monkeypatch.setattr(GriddingKernel, "spread_geometry", counted)
+    return calls
+
+
+@pytest.mark.parametrize("refine", [refine_type4, refine_type5])
+def test_refine_builds_one_spreader_per_call(refine, geometry_calls):
+    rng = np.random.default_rng(13)
+    P = 32
+    plan = build_plan(jittered(P, rng), std_params(P))
+    geometry_calls.clear()
     refine(plan, randc(P, rng), passes=1)
-    assert calls == [P]
+    assert geometry_calls == [P]
+
+
+@pytest.mark.parametrize("eta", [1, 2])
+def test_plan_builds_one_spreader_per_kernel(eta, geometry_calls):
+    # at eta = 1 the v-sample and derivative stages share the length-P kernel
+    rng = np.random.default_rng(14)
+    P = 32
+    build_plan(jittered(P, rng), std_params(P, eta=eta))
+    assert geometry_calls == ([P] if eta == 1 else [eta * P, P])
 
 
 def test_refine_rejects_negative_passes():

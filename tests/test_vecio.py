@@ -1,10 +1,12 @@
+import csv
+
 import numpy as np
 import pytest
 
 from nufft1d import TrialResult
 from nufft1d.vecio import (
+    RESULT_COLUMNS,
     read_grid_file,
-    read_results_csv,
     read_vector_file,
     write_grid_file,
     write_results_csv,
@@ -16,10 +18,13 @@ def test_vector_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
     v = rng.standard_normal(100) * 10.0 ** rng.integers(-200, 200, 100)
     vec = v + 1j * rng.standard_normal(100)
+    # signed zeros in either part and a subnormal must survive bit for bit
+    vec[:4] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 5e-324 - 5e-324j]
     path = tmp_path / "vec.txt"
     write_vector_file(path, vec)
     back = read_vector_file(path)
-    assert np.array_equal(back, vec)
+    assert back.dtype == np.complex128 and back.shape == vec.shape
+    assert np.array_equal(back.view(np.uint64), vec.view(np.uint64))
 
 
 def test_grid_round_trip_bit_exact(tmp_path):
@@ -68,9 +73,17 @@ def test_results_round_trip(tmp_path):
     ]
     path = tmp_path / "results.csv"
     write_results_csv(path, rows, {"seed": 7, "db_convention": "20*log10"})
-    back, meta = read_results_csv(path)
-    assert back == rows
-    assert meta["seed"] == "7"
-    text = path.read_text()
-    assert text.startswith("# ")
-    assert "error_linear" in text.splitlines()[1]
+    with open(path, newline="") as fh:
+        assert fh.readline() == "# seed=7 db_convention=20*log10\n"
+        back = list(csv.reader(fh))
+    assert tuple(back[0]) == RESULT_COLUMNS == (
+        "p", "eta", "mu", "method", "trial",
+        "error_linear", "error_db", "total_flops", "cg_iterations", "seed",
+    )
+    assert back[1:] == [
+        ["64", "2", "9.9999999999999998e-13", "NFFT", "0",
+         "3.1415899999999998e-11", "-210.06", "123456", "", "7"],
+        ["64", "", "", "CG", "1", "1e-14", "-280", "999", "52", "6"],
+    ]
+    for row, line in zip(rows, back[1:]):
+        assert float(line[5]) == row.error_linear and float(line[6]) == row.error_db
