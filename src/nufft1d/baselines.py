@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularMatrixError
-from .flops import FlopCounter
+from .flops import FlopCounter, charge
 from .forward import nfft_type1, nfft_type2
 from .grid import DEFAULT_SPREAD_WIDTH, NonuniformGrid, as_complex_vector
 from .gridding import cis_cycles, kernel_for_size
@@ -41,9 +41,7 @@ def _phase_matrix(grid: NonuniformGrid, sign: int, flops: FlopCounter | None) ->
         hi = min(lo + _BLOCK, P)
         p = np.arange(lo, hi, dtype=np.longdouble)
         M[lo:hi] = cis_cycles(sign * np.outer(p, t))
-    if flops is not None:
-        flops.real_mul(P * P)       # phase products p * t
-        flops.complex_exp(P * P)
+    charge(flops, real_muls=P * P, complex_exps=P * P)    # phase products p * t, exponentials
     return M
 
 
@@ -76,12 +74,14 @@ def ge_solve(system: DenseSystem, flops: FlopCounter | None = None) -> np.ndarra
         raise SingularMatrixError(f"matrix is singular: {exc}") from exc
     if not np.isfinite(x).all():
         raise SingularMatrixError("solution is not finite; matrix is numerically singular")
-    if flops is not None:
-        s1 = n * (n - 1) // 2                   # sum of r over r = 1..n-1
-        s2 = (n - 1) * n * (2 * n - 1) // 6     # sum of r^2 over r = 1..n-1
-        flops.complex_div(s1 + n)       # multipliers, back-substitution divides
-        flops.complex_mul(s2 + 2 * s1)  # trailing block, right-hand side, back substitution
-        flops.complex_add(s2 + 2 * s1)
+    s1 = n * (n - 1) // 2                   # sum of r over r = 1..n-1
+    s2 = (n - 1) * n * (2 * n - 1) // 6     # sum of r^2 over r = 1..n-1
+    charge(
+        flops,
+        complex_divs=s1 + n,        # multipliers, back-substitution divides
+        complex_muls=s2 + 2 * s1,   # trailing block, right-hand side, back substitution
+        complex_adds=s2 + 2 * s1,
+    )
     return x
 
 
@@ -139,9 +139,7 @@ def cg_solve(
     z = apply_AH(r)
     p = z.copy()
     zz = float(np.vdot(z, z).real)
-    if flops is not None:
-        flops.real_mul(2 * P)
-        flops.real_add(2 * P)
+    charge(flops, real_muls=2 * P, real_adds=2 * P)     # |z|^2
     rnorm = bnorm
     iterations = 0
     for iterations in range(1, max_iter + 1):
@@ -153,11 +151,8 @@ def cg_solve(
         alpha = zz / ww
         x = x + alpha * p
         r = r - alpha * w
-        if flops is not None:
-            flops.real_mul(2 * P + 1)   # |w|^2 and the division
-            flops.real_add(2 * P)
-            flops.real_mul(4 * P)       # two real-scalar axpys
-            flops.complex_add(2 * P)
+        # |w|^2 and the division, then the two real-scalar axpys
+        charge(flops, real_muls=2 * P + 1 + 4 * P, real_adds=2 * P, complex_adds=2 * P)
         rnorm = float(np.linalg.norm(r))
         if rnorm <= tol * bnorm:
             return CGResult(x, iterations, True, rnorm / bnorm)
@@ -165,9 +160,6 @@ def cg_solve(
         zz_new = float(np.vdot(z, z).real)
         p = z + (zz_new / zz) * p
         zz = zz_new
-        if flops is not None:
-            flops.real_mul(2 * P + 1)
-            flops.real_add(2 * P)
-            flops.real_mul(2 * P)
-            flops.complex_add(P)
+        # |z|^2 and the ratio, then the direction update
+        charge(flops, real_muls=2 * P + 1 + 2 * P, real_adds=2 * P, complex_adds=P)
     return CGResult(x, iterations, rnorm <= tol * bnorm, rnorm / bnorm)

@@ -2,9 +2,10 @@
 
 Costs follow a fixed table: real add/mul = 1, complex add = 2, complex
 mul = 6, complex exponential = 7, size-N FFT or IFFT = 5 N log2(N).
-Counting is analytic instrumentation: the transforms increment counters
-alongside the arithmetic they describe, so totals are exact integers that
-depend only on problem sizes and iteration counts, never on data values.
+Counting is analytic instrumentation: each stage makes one ``charge`` call
+beside the arithmetic it describes, which adds to the ``FlopCounter`` passed
+in (or does nothing when none is), so totals are exact integers that depend
+only on problem sizes and iteration counts, never on data values.
 
 Conventions applied uniformly to every method (the NFFT pipelines, CG and
 GE alike), so cross-method ratios are meaningful:
@@ -28,11 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-REAL_ADD_FLOPS = 1
-COMPLEX_ADD_FLOPS = 2
-REAL_MUL_FLOPS = 1
-COMPLEX_MUL_FLOPS = 6
-COMPLEX_EXP_FLOPS = 7
+# flops per operation, keyed by the FlopReport count fields
+WEIGHTS = {"real_adds": 1, "complex_adds": 2, "real_muls": 1, "complex_muls": 6, "complex_exps": 7}
 
 
 def fft_flops(size: int) -> float:
@@ -55,66 +53,41 @@ class FlopReport:
 
     @property
     def total_flops(self) -> int:
-        total = (
-            self.real_adds * REAL_ADD_FLOPS
-            + self.complex_adds * COMPLEX_ADD_FLOPS
-            + self.real_muls * REAL_MUL_FLOPS
-            + self.complex_muls * COMPLEX_MUL_FLOPS
-            + self.complex_exps * COMPLEX_EXP_FLOPS
-        )
-        fft_total = sum(fft_flops(n) for n in self.fft_invocations)
-        return total + round(fft_total)
+        total = sum(getattr(self, name) * w for name, w in WEIGHTS.items())
+        return total + round(sum(fft_flops(n) for n in self.fft_invocations))
 
 
 class FlopCounter:
-    """Per-invocation accumulator; owned by one call tree, merged afterwards."""
+    """Per-invocation accumulator; owned by one call tree, merged afterwards.
+
+    ``counts`` is keyed like ``WEIGHTS``, ``fft_sizes`` is in call order.
+    """
 
     def __init__(self):
-        self.real_adds = 0
-        self.complex_adds = 0
-        self.real_muls = 0
-        self.complex_muls = 0
-        self.complex_exps = 0
+        self.counts = dict.fromkeys(WEIGHTS, 0)
         self.fft_sizes: list[int] = []
 
-    def real_add(self, n: int = 1):
-        self.real_adds += n
-
-    def complex_add(self, n: int = 1):
-        self.complex_adds += n
-
-    def real_mul(self, n: int = 1):
-        self.real_muls += n
-
-    def complex_mul(self, n: int = 1):
-        self.complex_muls += n
-
-    def complex_exp(self, n: int = 1):
-        self.complex_exps += n
-
-    def complex_div(self, n: int = 1):
-        # z/w = z*conj(w) * (1/|w|^2)
-        self.complex_muls += n
-        self.real_muls += 5 * n
-        self.real_adds += n
-
-    def fft(self, size: int):
-        self.fft_sizes.append(int(size))
-
     def merge(self, other: "FlopCounter"):
-        self.real_adds += other.real_adds
-        self.complex_adds += other.complex_adds
-        self.real_muls += other.real_muls
-        self.complex_muls += other.complex_muls
-        self.complex_exps += other.complex_exps
-        self.fft_sizes.extend(other.fft_sizes)
+        charge(self, other.fft_sizes, **other.counts)
 
     def report(self) -> FlopReport:
-        return FlopReport(
-            real_adds=self.real_adds,
-            complex_adds=self.complex_adds,
-            real_muls=self.real_muls,
-            complex_muls=self.complex_muls,
-            complex_exps=self.complex_exps,
-            fft_invocations=tuple(self.fft_sizes),
-        )
+        return FlopReport(**self.counts, fft_invocations=tuple(self.fft_sizes))
+
+
+def charge(flops: FlopCounter | None, ffts=(), complex_divs: int = 0, **counts: int):
+    """Add one stage's operations to ``flops``, or nothing when it is None.
+
+    ``counts`` are keyed by ``FlopReport`` field names (any other name raises
+    KeyError) and ``ffts`` lists FFT sizes in call order.
+    """
+    if flops is None:
+        return
+    tally = flops.counts
+    for name, n in counts.items():
+        tally[name] += n
+    if complex_divs:
+        # z/w = z*conj(w) * (1/|w|^2)
+        tally["complex_muls"] += complex_divs
+        tally["real_muls"] += 5 * complex_divs
+        tally["real_adds"] += complex_divs
+    flops.fft_sizes.extend(ffts)

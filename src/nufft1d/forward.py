@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SizeMismatchError
-from .flops import FlopCounter
+from .flops import FlopCounter, charge
 from .grid import NonuniformGrid, as_complex_vector
 from .gridding import GriddingKernel, Spreader, cis_cycles, kernel_for_size
 
@@ -48,15 +48,15 @@ def _gridding_kernel(
         kernel = kernel_for_size(size)
     elif kernel.size != size:
         raise SizeMismatchError(f"kernel built for size {kernel.size}, transform needs {size}")
-    if flops is not None:
-        Q = grid.size
-        flops.complex_exp(Q)                 # band-shift modulation phases
-        flops.complex_mul(Q)
-        flops.complex_exp(Q * kernel.taps)   # pulse evaluations
-        flops.real_mul(2 * Q * kernel.taps)  # complex value * real weight
-        flops.complex_add(Q * kernel.taps)   # scatter or gather accumulation
-        flops.fft(kernel.fine_size)
-        flops.real_mul(2 * size)             # deconvolution
+    Q = grid.size
+    charge(
+        flops,
+        ffts=(kernel.fine_size,),
+        complex_exps=Q + Q * kernel.taps,           # band-shift phases, pulse evaluations
+        complex_muls=Q,                             # band-shift modulation
+        real_muls=2 * Q * kernel.taps + 2 * size,   # complex value * real weight, deconvolution
+        complex_adds=Q * kernel.taps,               # scatter or gather accumulation
+    )
     return spread if spread is not None else kernel.spreader(grid)
 
 
@@ -152,11 +152,12 @@ def nonuniform_conv(
     A = nfft_type1(grid, amplitudes, R, kernel=kernel, flops=flops)
     prod = lam * A
     folded = prod.reshape(eta, P).sum(axis=0) if eta > 1 else prod
-    if flops is not None:
-        if np.isrealobj(lam):
-            flops.real_mul(2 * R)
-        else:
-            flops.complex_mul(R)
-        flops.complex_add((eta - 1) * P)
-        flops.fft(P)
+    real = np.isrealobj(lam)
+    charge(
+        flops,
+        ffts=(P,),
+        real_muls=2 * R if real else 0,     # kernel coefficients times spectrum
+        complex_muls=0 if real else R,
+        complex_adds=(eta - 1) * P,         # aliasing fold
+    )
     return _idft_unnormalized(folded.astype(np.complex128, copy=False))

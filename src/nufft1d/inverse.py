@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergenceError
-from .flops import FlopCounter
+from .flops import FlopCounter, charge
 from .forward import _idft_unnormalized, nfft_type1, nfft_type2
 from .grid import MethodParams, NonuniformGrid, as_complex_vector
 from .gridding import GriddingKernel, cis_cycles, kernel_for_size
@@ -91,14 +91,14 @@ def build_plan(
     tl = np.asarray(t, dtype=np.longdouble)
     h_boundary = 1.0 / (cis_cycles(-P * tl) * np.exp(-2.0 * np.pi * P * a) - 1.0)
     node_weights = h_boundary / (dL * cis_cycles(tl))
-    if flops is not None:
-        flops.complex_exp(P)            # decay table
-        flops.real_mul(2 * P)           # boost reciprocals, /P scale
-        flops.complex_exp(2 * P + 1)    # node phases e^{-2 pi i P t}, e^{2 pi i t}, e^{-2 pi P a}
-        flops.real_mul(2 * P)           # damp the node phases
-        flops.complex_add(P)            # the -1
-        flops.complex_div(2 * P)        # reciprocal of h denominator, final division
-        flops.complex_mul(P)            # L' * e^{2 pi i t}
+    charge(
+        flops,
+        complex_exps=P + 2 * P + 1,     # decay table; e^{-2 pi i P t}, e^{2 pi i t}, e^{-2 pi P a}
+        real_muls=2 * P + 2 * P,        # boost reciprocals, /P scale; damp the node phases
+        complex_adds=P,                 # the -1
+        complex_divs=2 * P,             # reciprocal of h denominator, final division
+        complex_muls=P,                 # L' * e^{2 pi i t}
+    )
     for arr in (ks, coeffs, dL, decay, coef_scale, node_weights):
         arr.setflags(write=False)
     return InversePlan(
@@ -127,11 +127,12 @@ def _coefficients(plan: InversePlan, A: np.ndarray) -> np.ndarray:
 
 def _charge_solve(P: int, flops: FlopCounter | None):
     """Everything a solve costs beyond its forward transform (same for both)."""
-    if flops is not None:
-        flops.real_mul(4 * P)       # damping and coef_scale
-        flops.complex_mul(2 * P)    # kernel samples and node weights
-        flops.fft(P)                # regular-grid sequence
-        flops.fft(P)                # coefficient recovery
+    charge(
+        flops,
+        ffts=(P, P),                # regular-grid sequence, coefficient recovery
+        real_muls=4 * P,            # damping and coef_scale
+        complex_muls=2 * P,         # kernel samples and node weights
+    )
 
 
 def _type5(plan: InversePlan, s: np.ndarray, spread, flops) -> np.ndarray:
@@ -177,8 +178,7 @@ def _refine(plan, data, passes, solve, forward, flops):
     prev_norm = None
     for _ in range(passes):
         residual = forward(x, spread) - data
-        if flops is not None:
-            flops.complex_add(2 * P)    # residual and correction subtractions
+        charge(flops, complex_adds=2 * P)   # residual and correction subtractions
         norm = float(np.linalg.norm(residual))
         if prev_norm is not None and norm > prev_norm:
             raise NonConvergenceError(

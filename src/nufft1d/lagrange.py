@@ -17,10 +17,10 @@ import warnings
 import numpy as np
 
 from .errors import AmplificationWarning, KernelOverflowError, SingularDerivativeError
-from .flops import FlopCounter
+from .flops import FlopCounter, charge
 from .forward import nfft_type2, nonuniform_conv
 from .grid import MethodParams, NonuniformGrid, as_complex_vector
-from .gridding import GriddingKernel, Spreader, kernel_for_size
+from .gridding import GriddingKernel, Spreader
 
 # exp(|Re v|) must stay clear of the double-precision overflow threshold
 OVERFLOW_MARGIN = 16.0
@@ -38,9 +38,7 @@ def series_coefficients(damping_a: float, R: int, flops: FlopCounter | None = No
     p = np.arange(1, R)
     lam = np.zeros(R)
     lam[1:] = -np.exp(-2.0 * np.pi * p * damping_a) / p
-    if flops is not None:
-        flops.complex_exp(R - 1)
-        flops.real_mul(R - 1)
+    charge(flops, complex_exps=R - 1, real_muls=R - 1)
     return lam
 
 
@@ -90,10 +88,8 @@ def kernel_samples_from_v(
     P = grid.size
     cycles = np.mod(P / 2 + np.sum(grid.instants, dtype=np.longdouble), 1.0)
     const = 2j * np.pi * float(cycles)
-    if flops is not None:
-        flops.real_add(P)       # instant sum
-        flops.complex_add(P)    # constant shift of v
-        flops.complex_exp(P)
+    # instant sum, constant shift of v, the exponential
+    charge(flops, real_adds=P, complex_adds=P, complex_exps=P)
     return np.exp(const + v)
 
 
@@ -124,13 +120,13 @@ def kernel_coefficients(
     boost = np.exp(2.0 * np.pi * np.arange(P) * a)
     spectrum = np.fft.fft(ks)
     spectrum[0] -= P * np.exp(-2.0 * np.pi * P * a)
-    if flops is not None:
-        flops.complex_exp(P)        # boost table
-        flops.fft(P)
-        flops.complex_exp(1)        # alias weight e^{-2 pi P a}
-        flops.real_mul(1 + P)       # alias scale by P, boost/P table
-        flops.complex_add(1)
-        flops.real_mul(2 * P)       # apply boost/P
+    charge(
+        flops,
+        ffts=(P,),
+        complex_exps=P + 1,         # boost table, alias weight e^{-2 pi P a}
+        real_muls=1 + P + 2 * P,    # alias scale by P, boost/P table, apply boost/P
+        complex_adds=1,             # alias subtraction
+    )
     return spectrum * (boost / P)
 
 
@@ -150,10 +146,7 @@ def derivative_samples(
     dcoef = np.empty(P, dtype=np.complex128)
     dcoef[: P - 1] = np.arange(1, P) * L[1:]
     dcoef[P - 1] = P  # P * L_P
-    if flops is not None:
-        flops.real_mul(2 * P)
-    if kernel is None:
-        kernel = kernel_for_size(P)
+    charge(flops, real_muls=2 * P)
     out = nfft_type2(dcoef, grid, kernel=kernel, flops=flops)
     smallest = float(np.abs(out).min())
     if smallest < DERIVATIVE_FLOOR:

@@ -7,6 +7,8 @@ lets tests confirm the suite actually catches a corrupted pipeline.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from .baselines import ge_solve, type4_system, type5_system
@@ -49,7 +51,7 @@ def _randc(P, rng):
     return rng.standard_normal(P) + 1j * rng.standard_normal(P)
 
 
-def check_damping_round_trip(full: bool, corrupt: bool = False):
+def check_damping_round_trip(full: bool):
     for (mu, P, eta) in ((1e-13, 1024, 1), (1e-11, 64, 2), (1e-15, 4096, 6)):
         a = damping_from_mu(mu, P, eta)
         back = mu_from_damping(a, P, eta)
@@ -57,7 +59,7 @@ def check_damping_round_trip(full: bool, corrupt: bool = False):
                  f"truncation-ratio inversion off by {abs(back - mu) / mu:.2e}")
 
 
-def check_dft_naive(full: bool, corrupt: bool = False):
+def check_dft_naive(full: bool):
     rng = np.random.default_rng(11)
     N = 8
     v = _randc(N, rng)
@@ -68,7 +70,7 @@ def check_dft_naive(full: bool, corrupt: bool = False):
     _require(err < 1e-13, f"forward transform deviates from naive summation by {err:.2e}")
 
 
-def check_type1_oracle(full: bool, corrupt: bool = False):
+def check_type1_oracle(full: bool):
     rng = np.random.default_rng(12)
     for P in (16, 64) if full else (16,):
         grid = _jittered(P, rng)
@@ -77,7 +79,7 @@ def check_type1_oracle(full: bool, corrupt: bool = False):
         _require(err < 1e-12, f"type-1 fast path off by {err:.2e} at P={P}")
 
 
-def check_type2_oracle(full: bool, corrupt: bool = False):
+def check_type2_oracle(full: bool):
     rng = np.random.default_rng(13)
     for P in (16, 64) if full else (16,):
         grid = _jittered(P, rng)
@@ -86,7 +88,7 @@ def check_type2_oracle(full: bool, corrupt: bool = False):
         _require(err < 1e-12, f"type-2 fast path off by {err:.2e} at P={P}")
 
 
-def check_adjoint_pairing(full: bool, corrupt: bool = False):
+def check_adjoint_pairing(full: bool):
     rng = np.random.default_rng(14)
     P = 32
     grid = _jittered(P, rng)
@@ -97,7 +99,7 @@ def check_adjoint_pairing(full: bool, corrupt: bool = False):
     _require(err < 1e-11, f"type-1/type-2 adjoint pairing broken: {err:.2e}")
 
 
-def check_conv_oracle(full: bool, corrupt: bool = False):
+def check_conv_oracle(full: bool):
     rng = np.random.default_rng(15)
     Q = P = 8
     eta = 2
@@ -123,7 +125,7 @@ def _small_plan(P, rng, mu=1e-11, eta=2):
     return grid, params
 
 
-def check_v_samples(full: bool, corrupt: bool = False):
+def check_v_samples(full: bool):
     rng = np.random.default_rng(16)
     P = 8
     grid, params = _small_plan(P, rng)
@@ -138,7 +140,7 @@ def check_v_samples(full: bool, corrupt: bool = False):
     _require(err < tol, f"log-sum samples off by {err:.2e} (tolerance {tol:.2e})")
 
 
-def check_kernel_samples(full: bool, corrupt: bool = False):
+def check_kernel_samples(full: bool):
     rng = np.random.default_rng(17)
     P = 8
     grid, params = _small_plan(P, rng)
@@ -166,7 +168,7 @@ def check_coefficient_recovery(full: bool, corrupt: bool = False):
     _require(abs(poly[P] - 1.0) < 1e-12, "leading coefficient deviates from one")
 
 
-def check_derivative_oracle(full: bool, corrupt: bool = False):
+def check_derivative_oracle(full: bool):
     rng = np.random.default_rng(19)
     for P in (8, 32) if full else (8,):
         grid, params = _small_plan(P, rng)
@@ -178,7 +180,7 @@ def check_derivative_oracle(full: bool, corrupt: bool = False):
         _require(err < 1e-10, f"derivative samples off by {err:.2e} at P={P}")
 
 
-def check_type5_dense(full: bool, corrupt: bool = False):
+def check_type5_dense(full: bool):
     rng = np.random.default_rng(20)
     for P, tol in ((8, 1e-10), (32, 1e-9)) if full else ((8, 1e-10),):
         grid, params = _small_plan(P, rng)
@@ -189,7 +191,7 @@ def check_type5_dense(full: bool, corrupt: bool = False):
         _require(err < tol, f"type-5 solve deviates from dense solve by {err:.2e} at P={P}")
 
 
-def check_type4_dense(full: bool, corrupt: bool = False):
+def check_type4_dense(full: bool):
     rng = np.random.default_rng(21)
     for P, tol in ((8, 1e-10), (32, 1e-9)) if full else ((8, 1e-10),):
         grid, params = _small_plan(P, rng)
@@ -200,7 +202,7 @@ def check_type4_dense(full: bool, corrupt: bool = False):
         _require(err < tol, f"type-4 solve deviates from dense solve by {err:.2e} at P={P}")
 
 
-def check_uniform_closed_forms(full: bool, corrupt: bool = False):
+def check_uniform_closed_forms(full: bool):
     rng = np.random.default_rng(22)
     P = 16
     grid = validate_grid(np.arange(P) / P)
@@ -221,7 +223,7 @@ def check_uniform_closed_forms(full: bool, corrupt: bool = False):
     _require(err < 1e-12, f"uniform-grid type-4 deviates from inverse transform by {err:.2e}")
 
 
-def check_refinement_contraction(full: bool, corrupt: bool = False):
+def check_refinement_contraction(full: bool):
     rng = np.random.default_rng(23)
     P = 64
     grid = _jittered(P, rng)
@@ -234,7 +236,7 @@ def check_refinement_contraction(full: bool, corrupt: bool = False):
     _require(e1 < e0, f"refinement did not contract: {e0:.2e} -> {e1:.2e}")
 
 
-def check_flop_duality(full: bool, corrupt: bool = False):
+def check_flop_duality(full: bool):
     rng = np.random.default_rng(24)
     P = 16
     grid, params = _small_plan(P, rng)
@@ -272,17 +274,24 @@ def run_checks(level: str = "quick", corrupt: str | None = None):
     """Run the named self-checks; returns [(name, passed, detail)].
 
     ``corrupt`` injects a fault into the named check (negative control for
-    the verification machinery itself).
+    the verification machinery itself); only checks that take a ``corrupt``
+    argument have a fault hook, and naming any other raises ValueError.
     """
     if level not in ("quick", "full"):
         raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
+    hooks = [name for name, fn, _ in CHECKS if "corrupt" in inspect.signature(fn).parameters]
+    if corrupt is not None and corrupt not in hooks:
+        raise ValueError(f"no check has a fault hook named {corrupt!r} (hooks: {hooks})")
     full = level == "full"
     outcomes = []
     for name, fn, in_quick in CHECKS:
         if not full and not in_quick:
             continue
         try:
-            fn(full, corrupt=(corrupt == name))
+            if name == corrupt:
+                fn(full, corrupt=True)
+            else:
+                fn(full)
         except CheckFailure as exc:
             outcomes.append((name, False, str(exc)))
         except Exception as exc:  # pragma: no cover - unexpected blowup

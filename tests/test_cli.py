@@ -154,6 +154,14 @@ def test_verify_fault_injection(capsys):
     assert "kernel-coefficient-recovery" in captured.err
 
 
+@pytest.mark.parametrize("name", ["kernel-coeficient-recovery", "type1-direct-oracle"])
+def test_verify_unhooked_fault_is_a_usage_error(name, capsys):
+    # a misspelled name, or a check without a fault hook, must not pass silently
+    rc = main(["verify", "--level", "quick", "--inject-fault", name])
+    assert rc == 2
+    assert name in capsys.readouterr().err
+
+
 def test_bench_smoke(tmp_path):
     out = tmp_path / "fig1.csv"
     rc = main(["bench", "--figure", "fig1", "--out", str(out), "--p", "32",

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from nufft1d import (
     FlopCounter,
@@ -10,34 +11,45 @@ from nufft1d import (
     generate_trial,
     nfft_type1,
     nfft_type2,
+    nonuniform_conv,
+    refine_type4,
     type4,
     type4_system,
     type5,
 )
-from nufft1d.flops import fft_flops
+from nufft1d.flops import charge, fft_flops
 
 
-def charge(kind, n):
+def charged(**kwargs):
     counter = FlopCounter()
-    getattr(counter, kind)(n)
+    charge(counter, **kwargs)
     return counter.report()
 
 
 def test_single_operation_weights():
-    assert charge("complex_mul", 1).total_flops == 6
-    assert charge("fft", 1024).total_flops == 5 * 1024 * 10
+    assert charged(complex_muls=1).total_flops == 6
+    assert charged(ffts=(1024,)).total_flops == 5 * 1024 * 10
     assert FlopCounter().report().total_flops == 0
-    counter = FlopCounter()
-    counter.real_add(3)
-    counter.complex_add(2)
-    assert counter.report().total_flops == 3 + 4
-    assert charge("complex_exp", 2).total_flops == 14
+    assert charged(real_adds=3, complex_adds=2).total_flops == 3 + 4
+    assert charged(complex_exps=2).total_flops == 14
+    assert charged(real_muls=5).total_flops == 5
 
 
 def test_complex_div_expansion():
-    rep = charge("complex_div", 1)
+    rep = charged(complex_divs=1)
     assert rep.complex_muls == 1 and rep.real_muls == 5 and rep.real_adds == 1
     assert rep.total_flops == 6 + 5 + 1
+    # the expansion adds to counts charged beside it
+    rep = charged(complex_divs=2, complex_muls=3, real_adds=1)
+    assert (rep.complex_muls, rep.real_muls, rep.real_adds) == (5, 10, 3)
+
+
+def test_misspelled_count_name_raises():
+    counter = FlopCounter()
+    with pytest.raises(KeyError):
+        charge(counter, complex_mul=1)
+    with pytest.raises(KeyError):
+        charge(counter, fft_invocations=1)
 
 
 def test_total_matches_weight_formula():
@@ -56,13 +68,15 @@ def test_non_dyadic_fft_charge():
 
 def test_counter_merge():
     a, b = FlopCounter(), FlopCounter()
-    a.complex_mul(3)
-    b.fft(8)
-    b.real_add(2)
+    charge(a, ffts=(4,), complex_muls=3)
+    charge(b, ffts=(8,), real_adds=2)
+    charge(b, ffts=(16, 2))
     a.merge(b)
     rep = a.report()
-    assert rep.complex_muls == 3 and rep.fft_invocations == (8,)
+    assert rep.complex_muls == 3 and rep.fft_invocations == (4, 8, 16, 2)
     assert rep.real_adds == 2
+    # merging leaves the source untouched
+    assert b.report() == FlopReport(real_adds=2, fft_invocations=(8, 16, 2))
 
 
 def test_flops_independent_of_data_values():
@@ -140,7 +154,6 @@ def test_plan_flops_deterministic():
 
 
 def test_conv_complex_kernel_charges_complex_muls():
-    from nufft1d import nonuniform_conv
     rng = np.random.default_rng(6)
     grid, _ = generate_trial(16, 7)
     a = rng.standard_normal(16) + 1j * rng.standard_normal(16)
@@ -150,3 +163,48 @@ def test_conv_complex_kernel_charges_complex_muls():
     nonuniform_conv(grid, a, np.abs(lam_c), 16, flops=c_real)
     assert c_complex.report().complex_muls > c_real.report().complex_muls
     assert c_real.report().real_muls > c_complex.report().real_muls
+
+
+_P16 = 16
+_GRID16, _A16 = generate_trial(_P16, 7)
+_LAM32 = np.exp(-np.arange(2 * _P16) / 4.0)
+
+
+def _plan16(eta, flops=None):
+    return build_plan(_GRID16, MethodParams.from_mu(1e-10, _P16, eta), flops=flops)
+
+
+# (real_adds, complex_adds, real_muls, complex_muls, complex_exps, FFT sizes in
+# call order) for each charged call at P = 16, as first recorded
+PINNED_P16 = [
+    pytest.param(lambda c: nfft_type1(_GRID16, _A16, _P16, flops=c),
+                 (0, 464, 960, 16, 480, (32,)), id="type1"),
+    pytest.param(lambda c: nfft_type2(_A16, _GRID16, flops=c),
+                 (0, 464, 960, 16, 480, (32,)), id="type2"),
+    pytest.param(lambda c: nonuniform_conv(_GRID16, _A16, _LAM32, _P16, flops=c),
+                 (0, 480, 1056, 16, 480, (64, 16)), id="conv-real"),
+    pytest.param(lambda c: nonuniform_conv(_GRID16, _A16, _LAM32 + 1j, _P16, flops=c),
+                 (0, 480, 992, 48, 480, (64, 16)), id="conv-complex"),
+    pytest.param(lambda c: _plan16(1, c),
+                 (48, 961, 2272, 80, 1057, (32, 16, 16, 32)), id="plan-eta1"),
+    pytest.param(lambda c: _plan16(2, c),
+                 (48, 977, 2352, 80, 1073, (64, 16, 16, 32)), id="plan-eta2"),
+    pytest.param(lambda c: type4(_plan16(2), _A16, flops=c),
+                 (0, 464, 1024, 48, 480, (32, 16, 16)), id="type4"),
+    pytest.param(lambda c: refine_type4(_plan16(2), _A16, passes=2, flops=c),
+                 (0, 2384, 4992, 176, 2400, (32, 16, 16, 32, 32, 16, 16, 32, 32, 16, 16)),
+                 id="refine4-passes2"),
+    pytest.param(lambda c: cg_solve(_GRID16, _A16, max_iter=3, flops=c),
+                 (224, 3392, 7238, 112, 3360, (32,) * 7), id="cg-3"),
+    pytest.param(lambda c: ge_solve(type4_system(_GRID16, _A16, flops=c), flops=c),
+                 (136, 1480, 936, 1616, 256, ()), id="ge"),
+]
+
+
+@pytest.mark.parametrize("call, expected", PINNED_P16)
+def test_flop_reports_pinned(call, expected):
+    counter = FlopCounter()
+    call(counter)
+    rep = counter.report()
+    assert (rep.real_adds, rep.complex_adds, rep.real_muls, rep.complex_muls,
+            rep.complex_exps, rep.fft_invocations) == expected
