@@ -1,11 +1,14 @@
 """Reference solvers: dense Gaussian elimination and conjugate gradient.
 
 Both invert the same square systems the fast inverse transforms solve.
-GE is LAPACK's LU with partial pivoting (zgesv through numpy), charged
-the textbook operation count of the unblocked elimination and the
-back substitution. CG runs on the normal equations with matrix-vector
-products supplied by one type-2 plus one type-1 fast transform per
-iteration.
+The type-4 matrix e^{-2 pi i p t_q} (rows p) and the type-5 matrix
+e^{+2 pi i p t_q} (rows q) are Hermitian transposes of each other; each
+is filled row block by row block from the phase generator the direct
+oracles use. GE is LAPACK's LU with partial pivoting (zgesv through
+numpy), charged the textbook operation count of the unblocked
+elimination and the back substitution. CG runs on the normal equations
+with matrix-vector products supplied by one type-2 plus one type-1 fast
+transform per iteration.
 """
 
 from __future__ import annotations
@@ -16,11 +19,9 @@ import numpy as np
 
 from .errors import SingularMatrixError
 from .flops import FlopCounter, charge
-from .forward import nfft_type1, nfft_type2
+from .forward import _phase_blocks, nfft_type1, nfft_type2
 from .grid import DEFAULT_SPREAD_WIDTH, NonuniformGrid, as_complex_vector
-from .gridding import cis_cycles, kernel_for_size
-
-_BLOCK = 256
+from .gridding import kernel_for_size
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,29 +33,26 @@ class DenseSystem:
     rhs: np.ndarray
 
 
-def _phase_matrix(grid: NonuniformGrid, sign: int, flops: FlopCounter | None) -> np.ndarray:
-    """Entries e^{sign * 2 pi i p t_q}, rows p, columns q; built blockwise."""
-    P = grid.size
-    t = np.asarray(grid.instants, dtype=np.longdouble)
-    M = np.empty((P, P), dtype=np.complex128)
-    for lo in range(0, P, _BLOCK):
-        hi = min(lo + _BLOCK, P)
-        p = np.arange(lo, hi, dtype=np.longdouble)
-        M[lo:hi] = cis_cycles(sign * np.outer(p, t))
-    charge(flops, real_muls=P * P, complex_exps=P * P)    # phase products p * t, exponentials
+def _phase_matrix(rows, cols, sign: int, flops: FlopCounter | None) -> np.ndarray:
+    """Entries e^{sign * 2 pi i r c}, one row per entry of ``rows``."""
+    M = np.empty((len(rows), len(cols)), dtype=np.complex128)
+    for block, phases in _phase_blocks(rows, cols, sign):
+        M[block] = phases
+        del phases      # free this block before the generator builds the next
+    charge(flops, real_muls=M.size, complex_exps=M.size)    # phase products r * c, exponentials
     return M
 
 
 def type4_system(grid: NonuniformGrid, spectrum, flops: FlopCounter | None = None) -> DenseSystem:
     """System whose solution is the delta-train amplitudes."""
     rhs = as_complex_vector(spectrum, length=grid.size, name="spectrum")
-    return DenseSystem(matrix=_phase_matrix(grid, -1, flops), rhs=rhs)
+    return DenseSystem(_phase_matrix(np.arange(grid.size), grid.instants, -1, flops), rhs)
 
 
 def type5_system(grid: NonuniformGrid, samples, flops: FlopCounter | None = None) -> DenseSystem:
     """System whose solution is the polynomial coefficients."""
     rhs = as_complex_vector(samples, length=grid.size, name="samples")
-    return DenseSystem(matrix=_phase_matrix(grid, +1, flops).T.copy(), rhs=rhs)
+    return DenseSystem(_phase_matrix(grid.instants, np.arange(grid.size), +1, flops), rhs)
 
 
 def ge_solve(system: DenseSystem, flops: FlopCounter | None = None) -> np.ndarray:
@@ -127,12 +125,10 @@ def cg_solve(
         return CGResult(np.zeros(P, dtype=np.complex128), 0, True, 0.0)
 
     spread = kernel.spreader(grid)
-    if which == "type4":
-        apply_A = lambda x: nfft_type1(grid, x, P, kernel=spread, flops=flops)
-        apply_AH = lambda y: nfft_type2(y, grid, kernel=spread, flops=flops)
-    else:
-        apply_A = lambda x: nfft_type2(x, grid, kernel=spread, flops=flops)
-        apply_AH = lambda y: nfft_type1(grid, y, P, kernel=spread, flops=flops)
+    type1 = lambda x: nfft_type1(grid, x, P, kernel=spread, flops=flops)
+    type2 = lambda y: nfft_type2(y, grid, kernel=spread, flops=flops)
+    # type 4's matrix is the type-1 transform, type 5's its transpose
+    apply_A, apply_AH = (type1, type2) if which == "type4" else (type2, type1)
 
     x = np.zeros(P, dtype=np.complex128)
     r = b.copy()

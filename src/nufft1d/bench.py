@@ -15,6 +15,7 @@ Errors are relative l2 ratios, reported both linear and in dB as
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 
@@ -61,6 +62,17 @@ class TrialConfig:
     refine_passes: int = 1
 
     def __post_init__(self):
+        for name, low in (("p", 2), ("eta", 1)):
+            for value in getattr(self, name):
+                if not (isinstance(value, numbers.Real) and value >= low
+                        and float(value).is_integer()):
+                    raise ValueError(f"{name} values must be integers >= {low}, got {value!r}")
+        for mu in self.mu:
+            # mu * (eta P - 1) >= 1 is a per-cell skip in run_sweep, not a config error
+            if not 0.0 < mu < 1.0:
+                raise ValueError(f"mu values must lie in (0, 1), got {mu!r}")
+        if self.trials < 1:
+            raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not 0.0 <= self.jitter_max < 1.0:
             raise ValueError("jitter_max must lie in [0, 1) to keep nodes distinct")
         if self.refine_passes < 0:
@@ -265,11 +277,7 @@ def run_figure(name: str, config: TrialConfig | None = None, dense_cap: int | No
         results.extend(run_sweep(sub))
     if name == "fig6":
         # NFFT at eta = 6 plus the refined method at eta = 1 on the same trials
-        extra = replace(
-            cfg, eta=(1,), mu=(1e-8,), methods=(METHOD_RNFFT,),
-            p=tuple(cfg.p),
-        )
-        results.extend(run_sweep(extra))
+        results.extend(run_sweep(replace(cfg, eta=(1,), mu=(1e-8,), methods=(METHOD_RNFFT,))))
     if name in ("fig2", "fig3"):
         results = filter_best_mu(results, METHOD_RNFFT)
     meta = {

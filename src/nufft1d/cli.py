@@ -106,6 +106,13 @@ def _fail(exc: Exception, code: int) -> int:
     return code
 
 
+# per inverse kind: its solver, and the exact forward transform it inverts
+_INVERSES = {
+    4: (refine_type4, lambda grid, x: nfft_type1_direct(grid, x, grid.size)),
+    5: (refine_type5, lambda grid, x: nfft_type2_direct(x, grid)),
+}
+
+
 def _cmd_transform(args) -> int:
     try:
         grid = validate_grid(read_grid_file(args.grid))
@@ -124,20 +131,12 @@ def _cmd_transform(args) -> int:
     else:
         if data.size != Q:
             raise ValueError(f"data length {data.size} != grid size {Q}")
-        params = _solve_params(args, Q)
-        plan = build_plan(grid, params)
-        if args.kind == 4:
-            out = refine_type4(plan, data, passes=args.passes)
-        else:
-            out = refine_type5(plan, data, passes=args.passes)
+        solve, forward = _INVERSES[args.kind]
+        out = solve(build_plan(grid, _solve_params(args, Q)), data, passes=args.passes)
     _ensure_parent(args.out)
     write_vector_file(args.out, out)
-    if args.check_roundtrip and args.kind in (4, 5):
-        if args.kind == 4:
-            recon = nfft_type1_direct(grid, out, Q)
-        else:
-            recon = nfft_type2_direct(out, grid)
-        resid = float(np.linalg.norm(recon - data) / np.linalg.norm(data))
+    if args.check_roundtrip and args.kind in _INVERSES:
+        resid = float(np.linalg.norm(forward(grid, out) - data) / np.linalg.norm(data))
         print(f"roundtrip-residual {resid:.17g}")
     print(f"wrote {args.out}")
     return EXIT_OK

@@ -3,7 +3,9 @@
 The fast paths use Gaussian gridding with oversampling factor two; the
 _direct variants are exact O(PQ) summations kept as oracles for tests and
 residual checks. Both transform families are linear and are exact
-Hermitian transposes of one another.
+Hermitian transposes of one another. The oracles and the dense systems of
+``baselines`` take their phases e^{+-2 pi i r c} from one blockwise,
+extended-precision generator, ``_phase_blocks``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from .flops import FlopCounter, charge
 from .grid import NonuniformGrid, as_complex_vector
 from .gridding import GriddingKernel, Spreader, cis_cycles, kernel_for_size
 
-_DIRECT_BLOCK = 256
+_PHASE_BLOCK = 256   # rows per phase block; bounds the extended-precision temporaries
 
 
 def _idft_unnormalized(V: np.ndarray) -> np.ndarray:
@@ -100,32 +102,43 @@ def nfft_type2(
     return spread.gather(_idft_unnormalized(F))
 
 
+def _phase_blocks(rows, cols, sign: int):
+    """Yield (row slice, e^{sign 2 pi i r c}) for row blocks of ``rows`` against all ``cols``.
+
+    r * c is formed and reduced mod 1 in extended precision (``cis_cycles``).
+    """
+    r = np.asarray(rows, dtype=np.longdouble)
+    c = np.asarray(cols, dtype=np.longdouble)
+    for lo in range(0, r.size, _PHASE_BLOCK):
+        block = slice(lo, lo + _PHASE_BLOCK)
+        yield block, cis_cycles(sign * np.outer(r[block], c))
+
+
+def _direct(rows, cols, sign: int, vector: np.ndarray) -> np.ndarray:
+    """sum_c e^{sign 2 pi i r c} vector_c for every r in ``rows``."""
+    out = np.empty(len(rows), dtype=np.complex128)
+    for block, phases in _phase_blocks(rows, cols, sign):
+        out[block] = phases @ vector
+        del phases      # free this block before the generator builds the next
+    return out
+
+
 def nfft_type1_direct(grid: NonuniformGrid, amplitudes, R: int) -> np.ndarray:
     """Exact summation of the type-1 transform; O(RQ), oracle quality.
 
     Phases are reduced mod 1 in extended precision so the oracle stays a
     digit or two more accurate than the fast path it checks.
     """
+    if R < 1:
+        raise ValueError(f"output length must be >= 1, got {R}")
     a = as_complex_vector(amplitudes, length=grid.size, name="amplitudes")
-    t = np.asarray(grid.instants, dtype=np.longdouble)
-    out = np.empty(R, dtype=np.complex128)
-    for lo in range(0, R, _DIRECT_BLOCK):
-        hi = min(lo + _DIRECT_BLOCK, R)
-        p = np.arange(lo, hi, dtype=np.longdouble)
-        out[lo:hi] = cis_cycles(-np.outer(p, t)) @ a
-    return out
+    return _direct(np.arange(R), grid.instants, -1, a)
 
 
 def nfft_type2_direct(coefficients, grid: NonuniformGrid) -> np.ndarray:
     """Exact summation of the type-2 transform; O(PQ), oracle quality."""
     S = as_complex_vector(coefficients, name="coefficients")
-    p = np.arange(S.size, dtype=np.longdouble)
-    t = np.asarray(grid.instants, dtype=np.longdouble)
-    out = np.empty(t.size, dtype=np.complex128)
-    for lo in range(0, t.size, _DIRECT_BLOCK):
-        hi = min(lo + _DIRECT_BLOCK, t.size)
-        out[lo:hi] = cis_cycles(np.outer(t[lo:hi], p)) @ S
-    return out
+    return _direct(grid.instants, np.arange(S.size), +1, S)
 
 
 def nonuniform_conv(

@@ -135,16 +135,45 @@ def _charge_solve(P: int, flops: FlopCounter | None):
     )
 
 
-def _type5(plan: InversePlan, s: np.ndarray, spread, flops) -> np.ndarray:
-    A = nfft_type1(plan.grid, s * plan.node_weights, plan.size, kernel=spread, flops=flops)
+def _type5(plan: InversePlan, s: np.ndarray, type1, flops) -> np.ndarray:
+    A = type1(s * plan.node_weights)
     _charge_solve(plan.size, flops)
     return _coefficients(plan, A)
 
 
-def _type4(plan: InversePlan, A: np.ndarray, spread, flops) -> np.ndarray:
-    s_nodes = nfft_type2(_coefficients(plan, A), plan.grid, kernel=spread, flops=flops)
+def _type4(plan: InversePlan, A: np.ndarray, type2, flops) -> np.ndarray:
+    s_nodes = type2(_coefficients(plan, A))
     _charge_solve(plan.size, flops)
     return s_nodes * plan.node_weights
+
+
+def _refine(plan: InversePlan, data, passes: int, kind: str, flops) -> np.ndarray:
+    """Solve, then ``passes`` residual corrections; the one path of every inverse solve."""
+    name, solve = ("spectrum", _type4) if kind == "type4" else ("samples", _type5)
+    data = as_complex_vector(data, length=plan.size, name=name)
+    if passes < 0:
+        raise ValueError(f"refinement passes must be >= 0, got {passes}")
+    # passes share one spreader; a plain solve's one transform builds its own
+    spread = plan.kernel_base.spreader(plan.grid) if passes else plan.kernel_base
+    type1 = lambda x: nfft_type1(plan.grid, x, plan.size, kernel=spread, flops=flops)
+    type2 = lambda y: nfft_type2(y, plan.grid, kernel=spread, flops=flops)
+    # type 4 inverts the type-1 transform by way of a type-2 one, type 5 the reverse
+    forward, adjoint = (type1, type2) if kind == "type4" else (type2, type1)
+    x = solve(plan, data, adjoint, flops)
+    P = plan.size
+    prev_norm = None
+    for _ in range(passes):
+        residual = forward(x) - data
+        charge(flops, complex_adds=2 * P)   # residual and correction subtractions
+        norm = float(np.linalg.norm(residual))
+        if prev_norm is not None and norm > prev_norm:
+            raise NonConvergenceError(
+                f"residual norm grew between passes ({prev_norm:.3e} -> {norm:.3e}); "
+                "method error >= 1 at these parameters"
+            )
+        prev_norm = norm
+        x = x - solve(plan, residual, adjoint, flops)
+    return x
 
 
 def type5(plan: InversePlan, samples, flops: FlopCounter | None = None) -> np.ndarray:
@@ -153,8 +182,7 @@ def type5(plan: InversePlan, samples, flops: FlopCounter | None = None) -> np.nd
     Weighted samples, one type-1 transform onto the P-point spectrum, then
     the shared coefficient recovery.
     """
-    s = as_complex_vector(samples, length=plan.size, name="samples")
-    return _type5(plan, s, plan.kernel_base, flops)
+    return _refine(plan, samples, 0, "type5", flops)
 
 
 def type4(plan: InversePlan, spectrum, flops: FlopCounter | None = None) -> np.ndarray:
@@ -164,30 +192,7 @@ def type4(plan: InversePlan, spectrum, flops: FlopCounter | None = None) -> np.n
     type-2 transform evaluates at the nodes and the node weights finish:
     the exact transpose of type5.
     """
-    A = as_complex_vector(spectrum, length=plan.size, name="spectrum")
-    return _type4(plan, A, plan.kernel_base, flops)
-
-
-def _refine(plan, data, passes, solve, forward, flops):
-    """Solve, then ``passes`` residual corrections, every transform on one spreader."""
-    if passes < 0:
-        raise ValueError(f"refinement passes must be >= 0, got {passes}")
-    spread = plan.kernel_base.spreader(plan.grid)
-    x = solve(plan, data, spread, flops)
-    P = plan.size
-    prev_norm = None
-    for _ in range(passes):
-        residual = forward(x, spread) - data
-        charge(flops, complex_adds=2 * P)   # residual and correction subtractions
-        norm = float(np.linalg.norm(residual))
-        if prev_norm is not None and norm > prev_norm:
-            raise NonConvergenceError(
-                f"residual norm grew between passes ({prev_norm:.3e} -> {norm:.3e}); "
-                "method error >= 1 at these parameters"
-            )
-        prev_norm = norm
-        x = x - solve(plan, residual, spread, flops)
-    return x
+    return _refine(plan, spectrum, 0, "type4", flops)
 
 
 def refine_type4(
@@ -203,12 +208,7 @@ def refine_type4(
     the correction; every pass multiplies the error bound by the plain
     method's accuracy factor.
     """
-    A = as_complex_vector(spectrum, length=plan.size, name="spectrum")
-
-    def forward(x, spread):
-        return nfft_type1(plan.grid, x, plan.size, kernel=spread, flops=flops)
-
-    return _refine(plan, A, passes, _type4, forward, flops)
+    return _refine(plan, spectrum, passes, "type4", flops)
 
 
 def refine_type5(
@@ -218,9 +218,4 @@ def refine_type5(
     flops: FlopCounter | None = None,
 ) -> np.ndarray:
     """type5 plus residual-correction passes (sample-domain residuals)."""
-    s = as_complex_vector(samples, length=plan.size, name="samples")
-
-    def forward(x, spread):
-        return nfft_type2(x, plan.grid, kernel=spread, flops=flops)
-
-    return _refine(plan, s, passes, _type5, forward, flops)
+    return _refine(plan, samples, passes, "type5", flops)

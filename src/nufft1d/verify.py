@@ -8,6 +8,7 @@ lets tests confirm the suite actually catches a corrupted pipeline.
 from __future__ import annotations
 
 import inspect
+from functools import partial
 
 import numpy as np
 
@@ -70,22 +71,16 @@ def check_dft_naive(full: bool):
     _require(err < 1e-13, f"forward transform deviates from naive summation by {err:.2e}")
 
 
-def check_type1_oracle(full: bool):
-    rng = np.random.default_rng(12)
+def check_forward_oracle(full: bool, kind: int, seed: int):
+    rng = np.random.default_rng(seed)
     for P in (16, 64) if full else (16,):
         grid = _jittered(P, rng)
-        a = _randc(P, rng)
-        err = _rel(nfft_type1_direct(grid, a, P), nfft_type1(grid, a, P))
-        _require(err < 1e-12, f"type-1 fast path off by {err:.2e} at P={P}")
-
-
-def check_type2_oracle(full: bool):
-    rng = np.random.default_rng(13)
-    for P in (16, 64) if full else (16,):
-        grid = _jittered(P, rng)
-        S = _randc(P, rng)
-        err = _rel(nfft_type2_direct(S, grid), nfft_type2(S, grid))
-        _require(err < 1e-12, f"type-2 fast path off by {err:.2e} at P={P}")
+        x = _randc(P, rng)
+        if kind == 1:
+            err = _rel(nfft_type1_direct(grid, x, P), nfft_type1(grid, x, P))
+        else:
+            err = _rel(nfft_type2_direct(x, grid), nfft_type2(x, grid))
+        _require(err < 1e-12, f"type-{kind} fast path off by {err:.2e} at P={P}")
 
 
 def check_adjoint_pairing(full: bool):
@@ -180,26 +175,15 @@ def check_derivative_oracle(full: bool):
         _require(err < 1e-10, f"derivative samples off by {err:.2e} at P={P}")
 
 
-def check_type5_dense(full: bool):
-    rng = np.random.default_rng(20)
+def check_dense_solve(full: bool, kind: int, seed: int):
+    system, solve = (type4_system, type4) if kind == 4 else (type5_system, type5)
+    rng = np.random.default_rng(seed)
     for P, tol in ((8, 1e-10), (32, 1e-9)) if full else ((8, 1e-10),):
         grid, params = _small_plan(P, rng)
         plan = build_plan(grid, params)
-        s = _randc(P, rng)
-        want = ge_solve(type5_system(grid, s))
-        err = _rel(want, type5(plan, s))
-        _require(err < tol, f"type-5 solve deviates from dense solve by {err:.2e} at P={P}")
-
-
-def check_type4_dense(full: bool):
-    rng = np.random.default_rng(21)
-    for P, tol in ((8, 1e-10), (32, 1e-9)) if full else ((8, 1e-10),):
-        grid, params = _small_plan(P, rng)
-        plan = build_plan(grid, params)
-        A = _randc(P, rng)
-        want = ge_solve(type4_system(grid, A))
-        err = _rel(want, type4(plan, A))
-        _require(err < tol, f"type-4 solve deviates from dense solve by {err:.2e} at P={P}")
+        rhs = _randc(P, rng)
+        err = _rel(ge_solve(system(grid, rhs)), solve(plan, rhs))
+        _require(err < tol, f"type-{kind} solve deviates from dense solve by {err:.2e} at P={P}")
 
 
 def check_uniform_closed_forms(full: bool):
@@ -254,16 +238,16 @@ def check_flop_duality(full: bool):
 CHECKS = (
     ("damping-round-trip", check_damping_round_trip, True),
     ("dft-naive-oracle", check_dft_naive, True),
-    ("type1-direct-oracle", check_type1_oracle, True),
-    ("type2-direct-oracle", check_type2_oracle, True),
+    ("type1-direct-oracle", partial(check_forward_oracle, kind=1, seed=12), True),
+    ("type2-direct-oracle", partial(check_forward_oracle, kind=2, seed=13), True),
     ("adjoint-pairing", check_adjoint_pairing, True),
     ("conv-direct-oracle", check_conv_oracle, True),
     ("v-samples-log-oracle", check_v_samples, True),
     ("kernel-sample-product-oracle", check_kernel_samples, True),
     ("kernel-coefficient-recovery", check_coefficient_recovery, True),
     ("derivative-product-oracle", check_derivative_oracle, True),
-    ("type5-dense-solve-oracle", check_type5_dense, True),
-    ("type4-dense-solve-oracle", check_type4_dense, True),
+    ("type5-dense-solve-oracle", partial(check_dense_solve, kind=5, seed=20), True),
+    ("type4-dense-solve-oracle", partial(check_dense_solve, kind=4, seed=21), True),
     ("uniform-closed-forms", check_uniform_closed_forms, True),
     ("refinement-contraction", check_refinement_contraction, False),
     ("flop-duality", check_flop_duality, False),

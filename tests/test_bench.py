@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,16 @@ from nufft1d import (
     run_figure,
     run_sweep,
 )
-from nufft1d.bench import METHOD_CG, METHOD_GE, METHOD_NFFT, METHOD_RNFFT, best_mu, filter_best_mu, to_db
+from nufft1d.bench import (
+    FIGURE_DEFAULTS,
+    METHOD_CG,
+    METHOD_GE,
+    METHOD_NFFT,
+    METHOD_RNFFT,
+    best_mu,
+    filter_best_mu,
+    to_db,
+)
 
 
 def test_zero_jitter_gives_uniform_grid():
@@ -158,6 +168,15 @@ def test_run_figure_dense_cap():
     assert any(r.method == METHOD_NFFT and r.p == 64 for r in rows)
 
 
+def test_run_figure_fig6_adds_refined_sweep():
+    # fig6 runs NFFT at eta 6 and, on the same trials, R-NFFT at eta 1, mu 1e-8
+    cfg = replace(FIGURE_DEFAULTS["fig6"], p=(16, 32), trials=1, methods=(METHOD_NFFT,))
+    rows, _ = run_figure("fig6", cfg)
+    for P in cfg.p:
+        cells = {(r.method, r.eta, r.mu) for r in rows if r.p == P}
+        assert cells == {(METHOD_NFFT, 6, 1e-15), (METHOD_RNFFT, 1, 1e-8)}
+
+
 def test_run_figure_rejects_unknown():
     with pytest.raises(ValueError):
         run_figure("fig9")
@@ -170,6 +189,10 @@ def test_config_rejects_bad_jitter_and_method():
         TrialConfig(methods=("GE", "QR"))
     with pytest.raises(ValueError):
         TrialConfig(refine_passes=-1)
+    for bad in (dict(p=(1,)), dict(p=(64, 0)), dict(eta=(0,)), dict(eta=(1.5,)),
+                dict(trials=0), dict(mu=(0.0,)), dict(mu=(1e-9, 1.0)), dict(mu=(2.0,))):
+        with pytest.raises(ValueError):
+            TrialConfig(**bad)
 
 
 def test_figure_protocol_defaults():

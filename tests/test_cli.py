@@ -7,7 +7,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nufft1d import cli, ge_solve, generate_trial, nfft_type1_direct, type5_system
+from nufft1d import (
+    MethodParams,
+    build_plan,
+    cli,
+    ge_solve,
+    generate_trial,
+    nfft_type1_direct,
+    type4,
+    type5_system,
+)
 from nufft1d.bench import FIGURE_DEFAULTS
 from nufft1d.cli import main
 from nufft1d.vecio import read_vector_file, write_grid_file, write_vector_file
@@ -65,7 +74,7 @@ def test_transform_type4_roundtrip_flag(tmp_path, capsys):
     assert np.linalg.norm(got - amps) / np.linalg.norm(amps) < 1e-9
 
 
-def test_transform_type5_matches_dense_solve(tmp_path):
+def test_transform_type5_matches_dense_solve(tmp_path, capsys):
     grid, _, gpath = write_trial(tmp_path, P=8, seed=9)
     rng = np.random.default_rng(1)
     samples = rng.standard_normal(8) + 1j * rng.standard_normal(8)
@@ -73,8 +82,10 @@ def test_transform_type5_matches_dense_solve(tmp_path):
     write_vector_file(dpath, samples)
     out = tmp_path / "coef.txt"
     rc = main(["transform", "--type", "5", "--grid", str(gpath), "--data", str(dpath),
-               "--out", str(out), "--mu", "1e-11", "--eta", "2"])
+               "--out", str(out), "--mu", "1e-11", "--eta", "2", "--check-roundtrip"])
     assert rc == 0
+    line = [l for l in capsys.readouterr().out.splitlines() if l.startswith("roundtrip-residual")]
+    assert float(line[0].split()[1]) < 1e-9
     want = ge_solve(type5_system(grid, samples))
     got = read_vector_file(out)
     assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-10
@@ -94,6 +105,19 @@ def test_transform_refined_pass(tmp_path):
     e_plain = np.linalg.norm(read_vector_file(out_plain) - amps)
     e_ref = np.linalg.norm(read_vector_file(out_ref) - amps)
     assert e_ref < e_plain
+
+
+def test_transform_damping_option(tmp_path):
+    # --a sets the damping directly; mu follows from it
+    grid, amps, gpath = write_trial(tmp_path, P=16, seed=5)
+    dpath = tmp_path / "spectrum.txt"
+    write_vector_file(dpath, nfft_type1_direct(grid, amps, 16))
+    out = tmp_path / "amps.txt"
+    assert main(["transform", "--type", "4", "--grid", str(gpath), "--data", str(dpath),
+                 "--out", str(out), "--a", "0.05", "--eta", "2"]) == 0
+    plan = build_plan(grid, MethodParams.from_damping(0.05, 16, 2))
+    want = type4(plan, read_vector_file(dpath))
+    assert read_vector_file(out).tobytes() == want.tobytes()
 
 
 def test_negative_passes_exit_code(tmp_path):
@@ -123,9 +147,12 @@ def test_length_mismatch_exit_code(tmp_path):
     write_grid_file(grid, [0.0, 0.5])
     data = tmp_path / "data.txt"
     write_vector_file(data, np.ones(3, dtype=complex))
-    rc = main(["transform", "--type", "4", "--grid", str(grid),
-               "--data", str(data), "--out", str(tmp_path / "o.txt")])
-    assert rc == 2
+    for kind in ("1", "4"):
+        out = tmp_path / f"o{kind}.txt"
+        rc = main(["transform", "--type", kind, "--grid", str(grid),
+                   "--data", str(data), "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
 
 
 def test_numeric_failure_exit_code(tmp_path, capsys):
@@ -179,6 +206,17 @@ def test_bench_negative_passes_exit_code(tmp_path):
     rc = main(["bench", "--figure", "fig1", "--out", str(out), "--p", "16",
                "--trials", "1", "--passes", "-1"])
     assert rc == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option", [["--mu", "0"], ["--mu", "2"], ["--eta", "0"],
+                                    ["--trials", "0"]])
+def test_bench_bad_config_exit_code(option, tmp_path, capsys):
+    out = tmp_path / "fig1.csv"
+    rc = main(["bench", "--figure", "fig1", "--out", str(out), "--p", "16",
+               "--trials", "1", "--eta", "1", *option])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
 
 

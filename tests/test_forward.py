@@ -189,6 +189,14 @@ def test_conv_rejects_nonpositive_length():
             nonuniform_conv(grid, randc(6, rng), randc(8, rng), P)
 
 
+@pytest.mark.parametrize("transform", [nfft_type1, nfft_type1_direct])
+def test_type1_rejects_nonpositive_length(transform):
+    grid = jittered(6, np.random.default_rng(15))
+    for R in (0, -1):
+        with pytest.raises(ValueError, match="output length"):
+            transform(grid, np.ones(6), R)
+
+
 def test_conv_linearity():
     rng = np.random.default_rng(15)
     grid = jittered(7, rng)

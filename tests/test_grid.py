@@ -5,6 +5,7 @@ import pytest
 
 from nufft1d import (
     DuplicateNodeError,
+    LengthMismatchError,
     MethodParams,
     NonPositiveDampingError,
     OutOfRangeError,
@@ -12,6 +13,9 @@ from nufft1d import (
     build_plan,
     damping_from_mu,
     mu_from_damping,
+    nfft_type1,
+    nfft_type2,
+    type4,
     validate_grid,
 )
 
@@ -137,6 +141,18 @@ def test_complex_vector_checks():
         as_complex_vector([1.0, complex(float("inf"), 0.0)])
     with pytest.raises(ValueError):
         as_complex_vector([1.0, complex(0.0, float("nan"))])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda grid, plan: nfft_type2(np.ones((2, 4)), grid), "one-dimensional"),
+    (lambda grid, plan: nfft_type1(grid, [], 8), "nonempty"),
+    (lambda grid, plan: type4(plan, np.ones(9)), "expected 8"),
+])
+def test_complex_vector_length_errors(call, message):
+    grid = validate_grid(np.arange(8) / 8 + 0.01)
+    plan = build_plan(grid, MethodParams.from_mu(1e-12, 8, 2))
+    with pytest.raises(LengthMismatchError, match=message):
+        call(grid, plan)
 
 
 def test_complex_vector_accepts_noncontiguous_views():

@@ -60,6 +60,15 @@ def test_v_against_log_sum():
     assert err < 10 * params.mu * P + 1e-12
 
 
+@pytest.mark.parametrize("eta", [1, 2])
+def test_v_default_kernel_follows_spread_width(eta):
+    # without kernel=, the samples grid at params.spread_width, as build_plan does
+    grid = jittered(64, np.random.default_rng(7))
+    params = MethodParams.from_mu(1e-12, 64, eta, spread_width=6)
+    ks = kernel_samples_from_v(compute_v_samples(grid, params), grid)
+    assert ks.tobytes() == build_plan(grid, params).kernel_samples.tobytes()
+
+
 def test_v_truncation_shrinks_with_eta():
     rng = np.random.default_rng(1)
     P = 8
