@@ -117,15 +117,14 @@ def mu_from_damping(a: float, P: int, eta: int) -> float:
 
 @dataclass(frozen=True)
 class MethodParams:
-    """Inversion parameters: damping, oversampling, truncation, gridding width.
+    """Inversion parameters: damping, oversampling, gridding width.
 
-    Exactly one of (damping_a, mu) is supplied to the factories; the other is
-    derived from the truncation-ratio relation for the target grid size.
+    The truncation ratio mu only fixes the damping (``damping_from_mu``);
+    ``from_mu`` builds the parameters from it for the target grid size.
     """
 
     damping_a: float
     eta: int
-    mu: float
     spread_width: int = DEFAULT_SPREAD_WIDTH
 
     def __post_init__(self):
@@ -136,15 +135,7 @@ class MethodParams:
             if not (isinstance(value, numbers.Real) and float(value).is_integer() and value >= 1):
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
             object.__setattr__(self, name, int(value))
-        if not 0.0 < self.mu < 1.0:
-            raise ValueError(f"truncation ratio must lie in (0, 1), got {self.mu!r}")
 
     @classmethod
     def from_mu(cls, mu: float, P: int, eta: int = 1, **kwargs) -> "MethodParams":
-        a = damping_from_mu(mu, P, eta)
-        return cls(damping_a=a, eta=eta, mu=mu, **kwargs)
-
-    @classmethod
-    def from_damping(cls, a: float, P: int, eta: int = 1, **kwargs) -> "MethodParams":
-        mu = mu_from_damping(a, P, eta)
-        return cls(damping_a=a, eta=eta, mu=mu, **kwargs)
+        return cls(damping_a=damping_from_mu(mu, P, eta), eta=eta, **kwargs)

@@ -153,8 +153,8 @@ def _refine(plan: InversePlan, data, passes: int, kind: str, flops) -> np.ndarra
     data = as_complex_vector(data, length=plan.size, name=name)
     if passes < 0:
         raise ValueError(f"refinement passes must be >= 0, got {passes}")
-    # passes share one spreader; a plain solve's one transform builds its own
-    spread = plan.kernel_base.spreader(plan.grid) if passes else plan.kernel_base
+    # every transform of the solve, plain or refined, shares one spreader
+    spread = plan.kernel_base.spreader(plan.grid)
     type1 = lambda x: nfft_type1(plan.grid, x, plan.size, kernel=spread, flops=flops)
     type2 = lambda y: nfft_type2(y, plan.grid, kernel=spread, flops=flops)
     # type 4 inverts the type-1 transform by way of a type-2 one, type 5 the reverse

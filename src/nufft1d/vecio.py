@@ -1,14 +1,13 @@
 """Text file formats: grids, complex vectors, and results tables.
 
-Vectors are one "re im" pair per line, grids one instant per line, both
-with 17 significant digits so doubles round-trip bit-exactly. Results are
-CSV with a single '#'-prefixed metadata line ahead of the header.
+Vectors are one "re im" pair per line, written with 17 significant digits
+so doubles round-trip bit-exactly; grids are read one instant per line.
+Results are CSV with a single '#'-prefixed metadata line ahead of the header.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 import os
 from dataclasses import fields
 
@@ -50,13 +49,6 @@ def read_vector_file(path) -> np.ndarray:
     return _read_rows(path, 2, "'re im'", "vector").view(np.complex128).ravel()
 
 
-def write_grid_file(path, instants):
-    arr = np.asarray(instants, dtype=np.float64)
-    with open(path, "w") as fh:
-        for t in arr:
-            fh.write(f"{_FMT % t}\n")
-
-
 def read_grid_file(path) -> np.ndarray:
     return _read_rows(path, 1, "one instant per line", "grid").ravel()
 
@@ -65,8 +57,6 @@ def _format_field(value):
     if value is None:
         return ""
     if isinstance(value, float):
-        if math.isinf(value):
-            return "-inf" if value < 0 else "inf"
         return _FMT % value
     return str(value)
 

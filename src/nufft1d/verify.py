@@ -1,13 +1,11 @@
 """Self-check suite: every fast path against its independent brute-force oracle.
 
 All checks run at desk scale (P <= 64) in well under a second. Each check
-is named so the CLI can report the first failure precisely; a fault hook
-lets tests confirm the suite actually catches a corrupted pipeline.
+is named so the CLI can report the first failure precisely.
 """
 
 from __future__ import annotations
 
-import inspect
 from functools import partial
 
 import numpy as np
@@ -52,7 +50,7 @@ def _randc(P, rng):
     return rng.standard_normal(P) + 1j * rng.standard_normal(P)
 
 
-def check_damping_round_trip(full: bool):
+def check_damping_round_trip():
     for (mu, P, eta) in ((1e-13, 1024, 1), (1e-11, 64, 2), (1e-15, 4096, 6)):
         a = damping_from_mu(mu, P, eta)
         back = mu_from_damping(a, P, eta)
@@ -60,7 +58,7 @@ def check_damping_round_trip(full: bool):
                  f"truncation-ratio inversion off by {abs(back - mu) / mu:.2e}")
 
 
-def check_dft_naive(full: bool):
+def check_dft_naive():
     rng = np.random.default_rng(11)
     N = 8
     v = _randc(N, rng)
@@ -71,9 +69,9 @@ def check_dft_naive(full: bool):
     _require(err < 1e-13, f"forward transform deviates from naive summation by {err:.2e}")
 
 
-def check_forward_oracle(full: bool, kind: int, seed: int):
+def check_forward_oracle(kind: int, seed: int):
     rng = np.random.default_rng(seed)
-    for P in (16, 64) if full else (16,):
+    for P in (16, 64):
         grid = _jittered(P, rng)
         x = _randc(P, rng)
         if kind == 1:
@@ -83,7 +81,7 @@ def check_forward_oracle(full: bool, kind: int, seed: int):
         _require(err < 1e-12, f"type-{kind} fast path off by {err:.2e} at P={P}")
 
 
-def check_adjoint_pairing(full: bool):
+def check_adjoint_pairing():
     rng = np.random.default_rng(14)
     P = 32
     grid = _jittered(P, rng)
@@ -94,7 +92,7 @@ def check_adjoint_pairing(full: bool):
     _require(err < 1e-11, f"type-1/type-2 adjoint pairing broken: {err:.2e}")
 
 
-def check_conv_oracle(full: bool):
+def check_conv_oracle():
     rng = np.random.default_rng(15)
     Q = P = 8
     eta = 2
@@ -114,28 +112,28 @@ def check_conv_oracle(full: bool):
     _require(err < 1e-11, f"nonuniform convolution off by {err:.2e}")
 
 
-def _small_plan(P, rng, mu=1e-11, eta=2):
+def _small_plan(P, rng, mu=1e-11):
     grid = _jittered(P, rng)
-    params = MethodParams.from_mu(mu, P, eta)
+    params = MethodParams.from_mu(mu, P, 2)
     return grid, params
 
 
-def check_v_samples(full: bool):
+def check_v_samples():
     rng = np.random.default_rng(16)
-    P = 8
-    grid, params = _small_plan(P, rng)
+    P, mu = 8, 1e-11
+    grid, params = _small_plan(P, rng, mu)
     v = compute_v_samples(grid, params)
     q = np.arange(P) / P
     direct = np.array([
         np.sum(np.log(1 - np.exp(2j * np.pi * (qq - grid.instants + 1j * params.damping_a))))
         for qq in q
     ])
-    tol = 10 * params.mu * P + 1e-12
+    tol = 10 * mu * P + 1e-12
     err = float(np.abs(v - direct).max())
     _require(err < tol, f"log-sum samples off by {err:.2e} (tolerance {tol:.2e})")
 
 
-def check_kernel_samples(full: bool):
+def check_kernel_samples():
     rng = np.random.default_rng(17)
     P = 8
     grid, params = _small_plan(P, rng)
@@ -146,15 +144,12 @@ def check_kernel_samples(full: bool):
     _require(err < 1e-11, f"kernel samples off by {err:.2e}")
 
 
-def check_coefficient_recovery(full: bool, corrupt: bool = False):
+def check_coefficient_recovery():
     rng = np.random.default_rng(18)
     P = 8
     grid, params = _small_plan(P, rng)
     ks = kernel_samples_from_v(compute_v_samples(grid, params), grid)
     coeffs = kernel_coefficients(ks, params)
-    if corrupt:
-        # fault hook: simulate a corrupted undamping vector
-        coeffs = coeffs * np.exp(2.0 * np.pi * params.damping_a * 0.5)
     poly = np.array([1.0 + 0j])
     for tp in grid.instants:
         poly = np.convolve(poly, np.array([-np.exp(2j * np.pi * tp), 1.0]))
@@ -163,9 +158,9 @@ def check_coefficient_recovery(full: bool, corrupt: bool = False):
     _require(abs(poly[P] - 1.0) < 1e-12, "leading coefficient deviates from one")
 
 
-def check_derivative_oracle(full: bool):
+def check_derivative_oracle():
     rng = np.random.default_rng(19)
-    for P in (8, 32) if full else (8,):
+    for P in (8, 32):
         grid, params = _small_plan(P, rng)
         ks = kernel_samples_from_v(compute_v_samples(grid, params), grid)
         dL = derivative_samples(kernel_coefficients(ks, params), grid)
@@ -175,10 +170,10 @@ def check_derivative_oracle(full: bool):
         _require(err < 1e-10, f"derivative samples off by {err:.2e} at P={P}")
 
 
-def check_dense_solve(full: bool, kind: int, seed: int):
+def check_dense_solve(kind: int, seed: int):
     system, solve = (type4_system, type4) if kind == 4 else (type5_system, type5)
     rng = np.random.default_rng(seed)
-    for P, tol in ((8, 1e-10), (32, 1e-9)) if full else ((8, 1e-10),):
+    for P, tol in ((8, 1e-10), (32, 1e-9)):
         grid, params = _small_plan(P, rng)
         plan = build_plan(grid, params)
         rhs = _randc(P, rng)
@@ -186,7 +181,7 @@ def check_dense_solve(full: bool, kind: int, seed: int):
         _require(err < tol, f"type-{kind} solve deviates from dense solve by {err:.2e} at P={P}")
 
 
-def check_uniform_closed_forms(full: bool):
+def check_uniform_closed_forms():
     rng = np.random.default_rng(22)
     P = 16
     grid = validate_grid(np.arange(P) / P)
@@ -207,7 +202,7 @@ def check_uniform_closed_forms(full: bool):
     _require(err < 1e-12, f"uniform-grid type-4 deviates from inverse transform by {err:.2e}")
 
 
-def check_refinement_contraction(full: bool):
+def check_refinement_contraction():
     rng = np.random.default_rng(23)
     P = 64
     grid = _jittered(P, rng)
@@ -220,7 +215,7 @@ def check_refinement_contraction(full: bool):
     _require(e1 < e0, f"refinement did not contract: {e0:.2e} -> {e1:.2e}")
 
 
-def check_flop_duality(full: bool):
+def check_flop_duality():
     rng = np.random.default_rng(24)
     P = 16
     grid, params = _small_plan(P, rng)
@@ -234,48 +229,32 @@ def check_flop_duality(full: bool):
     )
 
 
-# (name, callable, part of the quick level)
+# (name, callable), run in this order
 CHECKS = (
-    ("damping-round-trip", check_damping_round_trip, True),
-    ("dft-naive-oracle", check_dft_naive, True),
-    ("type1-direct-oracle", partial(check_forward_oracle, kind=1, seed=12), True),
-    ("type2-direct-oracle", partial(check_forward_oracle, kind=2, seed=13), True),
-    ("adjoint-pairing", check_adjoint_pairing, True),
-    ("conv-direct-oracle", check_conv_oracle, True),
-    ("v-samples-log-oracle", check_v_samples, True),
-    ("kernel-sample-product-oracle", check_kernel_samples, True),
-    ("kernel-coefficient-recovery", check_coefficient_recovery, True),
-    ("derivative-product-oracle", check_derivative_oracle, True),
-    ("type5-dense-solve-oracle", partial(check_dense_solve, kind=5, seed=20), True),
-    ("type4-dense-solve-oracle", partial(check_dense_solve, kind=4, seed=21), True),
-    ("uniform-closed-forms", check_uniform_closed_forms, True),
-    ("refinement-contraction", check_refinement_contraction, False),
-    ("flop-duality", check_flop_duality, False),
+    ("damping-round-trip", check_damping_round_trip),
+    ("dft-naive-oracle", check_dft_naive),
+    ("type1-direct-oracle", partial(check_forward_oracle, kind=1, seed=12)),
+    ("type2-direct-oracle", partial(check_forward_oracle, kind=2, seed=13)),
+    ("adjoint-pairing", check_adjoint_pairing),
+    ("conv-direct-oracle", check_conv_oracle),
+    ("v-samples-log-oracle", check_v_samples),
+    ("kernel-sample-product-oracle", check_kernel_samples),
+    ("kernel-coefficient-recovery", check_coefficient_recovery),
+    ("derivative-product-oracle", check_derivative_oracle),
+    ("type5-dense-solve-oracle", partial(check_dense_solve, kind=5, seed=20)),
+    ("type4-dense-solve-oracle", partial(check_dense_solve, kind=4, seed=21)),
+    ("uniform-closed-forms", check_uniform_closed_forms),
+    ("refinement-contraction", check_refinement_contraction),
+    ("flop-duality", check_flop_duality),
 )
 
 
-def run_checks(level: str = "quick", corrupt: str | None = None):
-    """Run the named self-checks; returns [(name, passed, detail)].
-
-    ``corrupt`` injects a fault into the named check (negative control for
-    the verification machinery itself); only checks that take a ``corrupt``
-    argument have a fault hook, and naming any other raises ValueError.
-    """
-    if level not in ("quick", "full"):
-        raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
-    hooks = [name for name, fn, _ in CHECKS if "corrupt" in inspect.signature(fn).parameters]
-    if corrupt is not None and corrupt not in hooks:
-        raise ValueError(f"no check has a fault hook named {corrupt!r} (hooks: {hooks})")
-    full = level == "full"
+def run_checks():
+    """Run every self-check; returns [(name, passed, detail)]."""
     outcomes = []
-    for name, fn, in_quick in CHECKS:
-        if not full and not in_quick:
-            continue
+    for name, fn in CHECKS:
         try:
-            if name == corrupt:
-                fn(full, corrupt=True)
-            else:
-                fn(full)
+            fn()
         except CheckFailure as exc:
             outcomes.append((name, False, str(exc)))
         except Exception as exc:  # pragma: no cover - unexpected blowup

@@ -19,13 +19,20 @@ from nufft1d import (
 )
 from nufft1d.bench import FIGURE_DEFAULTS
 from nufft1d.cli import main
-from nufft1d.vecio import read_vector_file, write_grid_file, write_vector_file
+from nufft1d.lagrange import kernel_coefficients
+from nufft1d.vecio import read_vector_file, write_vector_file
+from nufft1d.verify import CHECKS
+
+
+def write_grid(path, instants):
+    # 17 significant digits, so the grid file round-trips bit for bit
+    np.savetxt(path, instants, fmt="%.17g")
 
 
 def write_trial(tmp_path, P=8, seed=3):
     grid, amps = generate_trial(P, seed)
     gpath = tmp_path / "grid.txt"
-    write_grid_file(gpath, grid.instants)
+    write_grid(gpath, grid.instants)
     return grid, amps, gpath
 
 
@@ -108,14 +115,14 @@ def test_transform_refined_pass(tmp_path):
 
 
 def test_transform_damping_option(tmp_path):
-    # --a sets the damping directly; mu follows from it
+    # --a sets the damping directly
     grid, amps, gpath = write_trial(tmp_path, P=16, seed=5)
     dpath = tmp_path / "spectrum.txt"
     write_vector_file(dpath, nfft_type1_direct(grid, amps, 16))
     out = tmp_path / "amps.txt"
     assert main(["transform", "--type", "4", "--grid", str(gpath), "--data", str(dpath),
                  "--out", str(out), "--a", "0.05", "--eta", "2"]) == 0
-    plan = build_plan(grid, MethodParams.from_damping(0.05, 16, 2))
+    plan = build_plan(grid, MethodParams(damping_a=0.05, eta=2))
     want = type4(plan, read_vector_file(dpath))
     assert read_vector_file(out).tobytes() == want.tobytes()
 
@@ -135,7 +142,7 @@ def test_parse_failure_exit_code(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("not numbers\n")
     grid = tmp_path / "grid.txt"
-    write_grid_file(grid, [0.0, 0.5])
+    write_grid(grid, [0.0, 0.5])
     out = tmp_path / "out.txt"
     rc = main(["transform", "--type", "2", "--grid", str(grid),
                "--data", str(bad), "--out", str(out)])
@@ -144,7 +151,7 @@ def test_parse_failure_exit_code(tmp_path):
 
 def test_length_mismatch_exit_code(tmp_path):
     grid = tmp_path / "grid.txt"
-    write_grid_file(grid, [0.0, 0.5])
+    write_grid(grid, [0.0, 0.5])
     data = tmp_path / "data.txt"
     write_vector_file(data, np.ones(3, dtype=complex))
     for kind in ("1", "4"):
@@ -165,27 +172,50 @@ def test_numeric_failure_exit_code(tmp_path, capsys):
     assert "NonPositiveDamping" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("level", ["quick", "full"])
-def test_verify_quick(level, capsys):
-    assert main(["verify", "--level", level]) == 0
-    out = capsys.readouterr().out
-    assert "kernel-coefficient-recovery" in out
-    if level == "full":
-        assert "flop-duality" in out and "refinement-contraction" in out
+@pytest.mark.parametrize("kind", ["1", "2"])
+def test_roundtrip_flag_rejected_for_forward_types(kind, tmp_path, capsys):
+    # only an inverse solve has a round trip to check; a forward transform must not
+    # drop the flag silently
+    grid, amps, gpath = write_trial(tmp_path)
+    dpath = tmp_path / "d.txt"
+    write_vector_file(dpath, amps)
+    out = tmp_path / "o.txt"
+    rc = main(["transform", "--type", kind, "--grid", str(gpath), "--data", str(dpath),
+               "--out", str(out), "--check-roundtrip"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--check-roundtrip" in err
+    assert not out.exists()
 
 
-def test_verify_fault_injection(capsys):
-    rc = main(["verify", "--level", "quick", "--inject-fault", "kernel-coefficient-recovery"])
+def test_verify_runs_every_check(capsys):
+    assert main(["verify"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"ok   {name}" for name, _ in CHECKS] and len(lines) == 15
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--level", "full"])
+    assert exc.value.code == 2
+
+
+def test_verify_fault_injection(monkeypatch, capsys):
+    # negative control: a corrupted undamping makes the suite fail, naming the check
+    def corrupted(ks, params, flops=None):
+        return kernel_coefficients(ks, params, flops) * np.exp(np.pi * params.damping_a)
+
+    monkeypatch.setattr("nufft1d.verify.kernel_coefficients", corrupted)
+    rc = main(["verify"])
     assert rc == 1
     captured = capsys.readouterr()
+    assert "FAIL kernel-coefficient-recovery" in captured.out
     assert "kernel-coefficient-recovery" in captured.err
 
 
 @pytest.mark.parametrize("name", ["kernel-coeficient-recovery", "type1-direct-oracle"])
 def test_verify_unhooked_fault_is_a_usage_error(name, capsys):
-    # a misspelled name, or a check without a fault hook, must not pass silently
-    rc = main(["verify", "--level", "quick", "--inject-fault", name])
-    assert rc == 2
+    # verify has no fault side door: asking for any injected fault is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--inject-fault", name])
+    assert exc.value.code == 2
     assert name in capsys.readouterr().err
 
 
@@ -281,7 +311,7 @@ def test_invalid_grid_file_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, status", [
-    (["verify", "--level", "quick"], 0),
+    (["verify"], 0),
     (["transform", "--type", "2", "--grid", "missing-grid.txt",
       "--data", "missing-data.txt", "--out", "o.txt"], 2),
 ])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -105,24 +106,25 @@ def test_damping_mu_mutual_inverses(seed):
 def test_method_params_factories():
     p = MethodParams.from_mu(1e-12, 256, 2)
     assert abs(mu_from_damping(p.damping_a, 256, 2) - 1e-12) / 1e-12 < 1e-12
-    q = MethodParams.from_damping(p.damping_a, 256, 2)
-    assert abs(q.mu - p.mu) / p.mu < 1e-12
+    assert p == MethodParams(damping_a=damping_from_mu(1e-12, 256, 2), eta=2)
     assert p.spread_width == 14
+    # mu only fixes the damping, so it is not stored beside it
+    assert [f.name for f in fields(MethodParams)] == ["damping_a", "eta", "spread_width"]
 
 
 def test_method_params_validation():
     with pytest.raises(NonPositiveDampingError):
-        MethodParams(damping_a=-0.1, eta=1, mu=1e-9)
+        MethodParams(damping_a=-0.1, eta=1)
     with pytest.raises(ValueError):
-        MethodParams(damping_a=0.1, eta=0, mu=1e-9)
+        MethodParams(damping_a=0.1, eta=0)
     with pytest.raises(ValueError):
-        MethodParams(damping_a=0.1, eta=1, mu=2.0)
+        MethodParams(damping_a=0.1, eta=2.5)
     with pytest.raises(ValueError):
-        MethodParams(damping_a=0.1, eta=2.5, mu=1e-9)
+        MethodParams(damping_a=0.1, eta=1, spread_width=14.5)
     with pytest.raises(ValueError):
-        MethodParams(damping_a=0.1, eta=1, mu=1e-9, spread_width=14.5)
-    with pytest.raises(ValueError):
-        MethodParams(damping_a=0.1, eta=1, mu=1e-9, spread_width=0)
+        MethodParams(damping_a=0.1, eta=1, spread_width=0)
+    with pytest.raises(TypeError):
+        MethodParams(damping_a=0.1, eta=1, mu=1e-9)
 
 
 def test_method_params_integral_floats_stored_as_int():

@@ -232,12 +232,14 @@ def geometry_calls(monkeypatch):
 
 @pytest.mark.parametrize("refine", [refine_type4, refine_type5])
 def test_refine_builds_one_spreader_per_call(refine, geometry_calls):
+    # plain and refined solves alike build one spreader, whatever the pass count
     rng = np.random.default_rng(13)
     P = 32
     plan = build_plan(jittered(P, rng), std_params(P))
-    geometry_calls.clear()
-    refine(plan, randc(P, rng), passes=1)
-    assert geometry_calls == [P]
+    for passes in (0, 1, 2):
+        geometry_calls.clear()
+        refine(plan, randc(P, rng), passes=passes)
+        assert geometry_calls == [P]
 
 
 @pytest.mark.parametrize("eta", [1, 2])
@@ -247,6 +249,39 @@ def test_plan_builds_one_spreader_per_kernel(eta, geometry_calls):
     P = 32
     build_plan(jittered(P, rng), std_params(P, eta=eta))
     assert geometry_calls == ([P] if eta == 1 else [eta * P, P])
+
+
+def _pairs(P, rng):
+    # nodes 0.1/P apart, one pair every 2/P
+    first = np.arange(0, P, 2) / P + rng.uniform(0, 1 / P, P // 2)
+    return np.stack([first, first + 0.1 / P], axis=1).ravel()
+
+
+NODE_FAMILIES = {
+    "jitter-0.99": (256, lambda P, rng: np.arange(P) / P + rng.uniform(0, 0.99 / P, P)),
+    "pairs": (256, _pairs),
+    # spacing shrunk by 1/P, so the wrap-around gap spans 2 spacings
+    "gap-2": (256, lambda P, rng: (np.arange(P) / P) * (1 - 1 / P) + rng.uniform(0, 0.3 / P, P)),
+    "P300": (300, lambda P, rng: jittered(P, rng).instants),
+    "P1000": (1000, lambda P, rng: jittered(P, rng).instants),
+}
+
+
+@pytest.mark.parametrize("kind", [4, 5])
+@pytest.mark.parametrize("family", sorted(NODE_FAMILIES))
+def test_node_families_against_ground_truth(family, kind):
+    # i.i.d. grids and wider gaps are left out: there the solve is silently wrong
+    P, nodes = NODE_FAMILIES[family]
+    rng = np.random.default_rng(1)
+    grid = validate_grid(nodes(P, rng))
+    truth = randc(P, rng)
+    plan = build_plan(grid, MethodParams.from_mu(1e-15, P, eta=6))
+    if kind == 4:
+        refine, data = refine_type4, nfft_type1_direct(grid, truth, P)
+    else:
+        refine, data = refine_type5, nfft_type2_direct(truth, grid)
+    assert relative_error(truth, refine(plan, data, passes=0)) <= 1e-9
+    assert relative_error(truth, refine(plan, data, passes=1)) <= 1e-12
 
 
 def test_refine_rejects_negative_passes():

@@ -52,12 +52,12 @@ def test_v_single_node():
 
 def test_v_against_log_sum():
     rng = np.random.default_rng(0)
-    P = 8
+    P, mu = 8, 1e-13
     grid = jittered(P, rng)
-    params = MethodParams.from_mu(1e-13, P, eta=2)
+    params = MethodParams.from_mu(mu, P, eta=2)
     v = compute_v_samples(grid, params)
     err = np.abs(v - v_direct(grid, params.damping_a)).max()
-    assert err < 10 * params.mu * P + 1e-12
+    assert err < 10 * mu * P + 1e-12
 
 
 @pytest.mark.parametrize("eta", [1, 2])
@@ -76,7 +76,7 @@ def test_v_truncation_shrinks_with_eta():
     a = 0.05
     errs = []
     for eta in (1, 2):
-        params = MethodParams.from_damping(a, P, eta)
+        params = MethodParams(damping_a=a, eta=eta)
         v = compute_v_samples(grid, params)
         errs.append(np.abs(v - v_direct(grid, a)).max())
     assert errs[1] < errs[0]
@@ -152,7 +152,7 @@ def test_coefficients_expansion_oracle():
 
 def test_amplification_warning():
     P = 64
-    params = MethodParams.from_damping(0.1, P, eta=1)
+    params = MethodParams(damping_a=0.1, eta=1)
     ks = np.ones(P, dtype=complex)
     with pytest.warns(AmplificationWarning):
         kernel_coefficients(ks, params)

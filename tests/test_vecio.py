@@ -8,7 +8,6 @@ from nufft1d.vecio import (
     RESULT_COLUMNS,
     read_grid_file,
     read_vector_file,
-    write_grid_file,
     write_results_csv,
     write_vector_file,
 )
@@ -31,7 +30,7 @@ def test_grid_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(1)
     t = np.sort(rng.uniform(0, 1, 64))
     path = tmp_path / "grid.txt"
-    write_grid_file(path, t)
+    np.savetxt(path, t, fmt="%.17g")   # 17 significant digits, as vectors are written
     assert np.array_equal(read_grid_file(path), t)
 
 
@@ -70,6 +69,9 @@ def test_results_round_trip(tmp_path):
         TrialResult(p=64, eta=None, mu=None, method="CG", trial=1,
                     error_linear=1e-14, error_db=-280.0,
                     total_flops=999, cg_iterations=52, seed=6),
+        TrialResult(p=32, eta=1, mu=1e-9, method="R-NFFT", trial=2,
+                    error_linear=0.0, error_db=float("-inf"),
+                    total_flops=4321, cg_iterations=None, seed=8),
     ]
     path = tmp_path / "results.csv"
     write_results_csv(path, rows, {"seed": 7, "db_convention": "20*log10"})
@@ -84,6 +86,7 @@ def test_results_round_trip(tmp_path):
         ["64", "2", "9.9999999999999998e-13", "NFFT", "0",
          "3.1415899999999998e-11", "-210.06", "123456", "", "7"],
         ["64", "", "", "CG", "1", "1e-14", "-280", "999", "52", "6"],
+        ["32", "1", "1.0000000000000001e-09", "R-NFFT", "2", "0", "-inf", "4321", "", "8"],
     ]
     for row, line in zip(rows, back[1:]):
         assert float(line[5]) == row.error_linear and float(line[6]) == row.error_db
