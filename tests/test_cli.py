@@ -188,12 +188,19 @@ def test_roundtrip_flag_rejected_for_forward_types(kind, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_verify_runs_every_check(capsys):
+@pytest.mark.parametrize("level", ["quick", "full"])
+def test_verify_quick(level, capsys):
+    # verify has no levels: one run covers the checks of the former quick and
+    # full levels alike, and asking for a level is a usage error
     assert main(["verify"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines == [f"ok   {name}" for name, _ in CHECKS] and len(lines) == 15
+    extra = {"refinement-contraction", "flop-duality"}
+    wanted = [name for name, _ in CHECKS if level == "full" or name not in extra]
+    assert len(wanted) == (15 if level == "full" else 13)
+    assert all(f"ok   {name}" in lines for name in wanted)
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--level", "full"])
+        main(["verify", "--level", level])
     assert exc.value.code == 2
 
 
