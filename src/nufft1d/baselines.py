@@ -20,7 +20,7 @@ import numpy as np
 from .errors import SingularMatrixError
 from .flops import FlopCounter, charge
 from .forward import _phase_blocks, nfft_type1, nfft_type2
-from .grid import DEFAULT_SPREAD_WIDTH, NonuniformGrid, as_complex_vector
+from .grid import NonuniformGrid, as_complex_vector
 from .gridding import kernel_for_size
 
 
@@ -97,16 +97,16 @@ def cg_solve(
     which: str = "type4",
     tol: float = 1e-15,
     max_iter: int | None = None,
-    spread_width: int = DEFAULT_SPREAD_WIDTH,
     flops: FlopCounter | None = None,
 ) -> CGResult:
     """Conjugate gradient on the normal equations (CGNR), unpreconditioned.
 
     Each iteration applies the system matrix and its Hermitian transpose,
     one type-1 and one type-2 fast transform, so the per-iteration cost is
-    FFT-order; all of them share one spreader built for the call. Stops at
-    relative recurred residual <= tol or at max_iter (default 4P), returning
-    the best iterate with a convergence flag.
+    FFT-order; all of them share one spreader of the length-P gridding
+    kernel, built for the call. Stops at relative recurred residual <= tol
+    or at max_iter (default 4P), returning the best iterate with a
+    convergence flag.
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
@@ -116,7 +116,6 @@ def cg_solve(
         raise ValueError(f"iteration cap must be >= 0, got {max_iter}")
     b = as_complex_vector(rhs, length=grid.size, name="rhs")
     P = grid.size
-    kernel = kernel_for_size(P, spread_width)
     if max_iter is None:
         max_iter = 4 * P
 
@@ -124,7 +123,7 @@ def cg_solve(
     if bnorm == 0.0:
         return CGResult(np.zeros(P, dtype=np.complex128), 0, True, 0.0)
 
-    spread = kernel.spreader(grid)
+    spread = kernel_for_size(P).spreader(grid)
     type1 = lambda x: nfft_type1(grid, x, P, kernel=spread, flops=flops)
     type2 = lambda y: nfft_type2(y, grid, kernel=spread, flops=flops)
     # type 4's matrix is the type-1 transform, type 5's its transpose

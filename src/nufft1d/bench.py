@@ -1,12 +1,12 @@
 """Monte-Carlo benchmark engine: grids, error measurement, parameter sweeps.
 
-Trials draw a jittered regular grid and unit-variance circular complex
-Gaussian amplitudes from a counter-based Philox generator, so runs are
-reproducible from (seed, trial index) alone; per-trial streams use
-key = seed XOR trial. Ground truth is always the generated amplitude
-vector, and the spectrum handed to the solvers comes from the exact
-direct summation, never the fast transform, so method error stays
-unconfounded.
+Trials draw a jittered regular grid (node p shifted by up to JITTER_MAX / P)
+and unit-variance circular complex Gaussian amplitudes from a counter-based
+Philox generator, so runs are reproducible from (seed, trial index) alone;
+per-trial streams use key = seed XOR trial. Ground truth is always the
+generated amplitude vector, and the spectrum handed to the solvers comes
+from the exact direct summation, never the fast transform, so method error
+stays unconfounded.
 
 Errors are relative l2 ratios, reported both linear and in dB as
 20 log10.
@@ -25,18 +25,19 @@ from .baselines import cg_solve, ge_solve, type4_system
 from .errors import (
     AmplificationWarning,
     LengthMismatchError,
-    NonConvergenceError,
     NonPositiveDampingError,
     ZeroReferenceError,
 )
 from .flops import FlopCounter
 from .forward import nfft_type1_direct
-from .grid import DEFAULT_SPREAD_WIDTH, MethodParams, validate_grid
+from .grid import MethodParams, validate_grid
 from .inverse import build_plan, refine_type4, type4
 
 GE_SIZE_CAP = 8192
 
 CG_TOL = 1e-15
+
+JITTER_MAX = 0.6
 
 MU_SWEEP_DEFAULT = tuple(float(m) for m in np.logspace(-18.0, -4.0, 29))
 
@@ -57,9 +58,6 @@ class TrialConfig:
     trials: int = 10
     seed: int = 0
     methods: tuple[str, ...] = ALL_METHODS
-    jitter_max: float = 0.6
-    spread_width: int = DEFAULT_SPREAD_WIDTH
-    refine_passes: int = 1
 
     def __post_init__(self):
         for name, low in (("p", 2), ("eta", 1)):
@@ -73,10 +71,6 @@ class TrialConfig:
                 raise ValueError(f"mu values must lie in (0, 1), got {mu!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not 0.0 <= self.jitter_max < 1.0:
-            raise ValueError("jitter_max must lie in [0, 1) to keep nodes distinct")
-        if self.refine_passes < 0:
-            raise ValueError(f"refine_passes must be >= 0, got {self.refine_passes}")
         for m in self.methods:
             if m not in ALL_METHODS:
                 raise ValueError(f"unknown method {m!r}")
@@ -96,7 +90,7 @@ class TrialResult:
     seed: int
 
 
-def generate_trial(P: int, seed: int, jitter_max: float = 0.6):
+def generate_trial(P: int, seed: int, jitter_max: float = JITTER_MAX):
     """Jittered grid t_p = p/P + U[0, jitter_max/P) and CN(0, 1) amplitudes."""
     if P < 2:
         raise ValueError("need P >= 2 for a jittered grid")
@@ -128,17 +122,16 @@ def to_db(error_linear: float) -> float:
 def run_sweep(config: TrialConfig) -> list[TrialResult]:
     """Run every (P, trial, method, eta, mu) combination of the config.
 
-    GE and CG are parameter-free and run once per trial; the fast methods
-    run once per (eta, mu) pair, sharing one plan between the plain and
-    refined solves. Infeasible (mu, eta) pairs (truncation too loose to
-    need damping) are skipped, as are multi-pass refinement cells whose
-    residuals grow (method error above one at that corner of the sweep).
-    Deliberately over-damped corners would also spam amplification
-    warnings, so those are suppressed here.
+    Every trial draws its grid with jitter JITTER_MAX. GE and CG are
+    parameter-free and run once per trial; the fast methods run once per
+    (eta, mu) pair, sharing one plan between the plain solve and the
+    refined one (one refinement pass). Infeasible (mu, eta) pairs
+    (truncation too loose to need damping) are skipped. Deliberately
+    over-damped corners would also spam amplification warnings, so those
+    are suppressed here.
     """
     results: list[TrialResult] = []
-    dense = [m for m in (METHOD_GE,) if m in config.methods]
-    if dense and max(config.p) > GE_SIZE_CAP:
+    if METHOD_GE in config.methods and max(config.p) > GE_SIZE_CAP:
         raise ValueError(f"GE requested above the P = {GE_SIZE_CAP} dense-solver cap")
     fast = [m for m in (METHOD_NFFT, METHOD_RNFFT) if m in config.methods]
     with warnings.catch_warnings():
@@ -146,7 +139,7 @@ def run_sweep(config: TrialConfig) -> list[TrialResult]:
         for P in config.p:
             for trial in range(config.trials):
                 tseed = config.seed ^ trial
-                grid, a_true = generate_trial(P, tseed, config.jitter_max)
+                grid, a_true = generate_trial(P, tseed)
                 spectrum = nfft_type1_direct(grid, a_true, P)
 
                 def record(method, x, counter, eta=None, mu=None, cg_iterations=None):
@@ -164,21 +157,14 @@ def run_sweep(config: TrialConfig) -> list[TrialResult]:
                     record(METHOD_GE, x, counter)
                 if METHOD_CG in config.methods:
                     counter = FlopCounter()
-                    res = cg_solve(
-                        grid, spectrum, "type4",
-                        tol=CG_TOL,
-                        spread_width=config.spread_width,
-                        flops=counter,
-                    )
+                    res = cg_solve(grid, spectrum, "type4", tol=CG_TOL, flops=counter)
                     record(METHOD_CG, res.solution, counter, cg_iterations=res.iterations)
                 if not fast:
                     continue
                 for eta in config.eta:
                     for mu in config.mu:
                         try:
-                            params = MethodParams.from_mu(
-                                mu, P, eta, spread_width=config.spread_width
-                            )
+                            params = MethodParams.from_mu(mu, P, eta)
                         except NonPositiveDampingError:
                             continue
                         plan_counter = FlopCounter()
@@ -191,12 +177,7 @@ def run_sweep(config: TrialConfig) -> list[TrialResult]:
                         if METHOD_RNFFT in config.methods:
                             counter = FlopCounter()
                             counter.merge(plan_counter)
-                            try:
-                                x = refine_type4(
-                                    plan, spectrum, passes=config.refine_passes, flops=counter
-                                )
-                            except NonConvergenceError:
-                                continue
+                            x = refine_type4(plan, spectrum, flops=counter)
                             record(METHOD_RNFFT, x, counter, eta, mu)
     return results
 
@@ -284,7 +265,7 @@ def run_figure(name: str, config: TrialConfig | None = None, dense_cap: int | No
         "figure": name,
         "seed": cfg.seed,
         "trials": cfg.trials,
-        "jitter_max": cfg.jitter_max,
+        "jitter_max": JITTER_MAX,
         "db_convention": "20*log10(relative_l2_error)",
         "rng": "philox(key=seed^trial)",
         "dense_cap": cap if dense_methods else None,

@@ -22,7 +22,7 @@ from .bench import (
 )
 from .errors import NufftError
 from .forward import nfft_type1, nfft_type1_direct, nfft_type2, nfft_type2_direct
-from .grid import DEFAULT_SPREAD_WIDTH, MethodParams, validate_grid
+from .grid import MethodParams, validate_grid
 from .gridding import kernel_for_size
 from .inverse import build_plan, refine_type4, refine_type5
 from .vecio import (
@@ -57,16 +57,17 @@ def _build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--grid", required=True, help="file with one instant in [0,1) per line")
     tr.add_argument("--data", required=True, help="file with one 're im' pair per line")
     tr.add_argument("--out", required=True, help="output vector file")
+    # options left at None were not given; _cmd_transform rejects those a type does not read
     tr.add_argument("--p", type=int, default=None,
                     help="output length for type 1 (default: grid length)")
-    tr.add_argument("--eta", type=int, default=2, help="series oversampling factor (types 4/5)")
+    tr.add_argument("--eta", type=int, default=None,
+                    help="series oversampling factor (types 4/5, default 2)")
     group = tr.add_mutually_exclusive_group()
     group.add_argument("--mu", type=float, default=None, help="truncation ratio (types 4/5)")
     group.add_argument("--a", type=float, default=None, help="damping factor (types 4/5)")
-    tr.add_argument("--spread", type=int, default=DEFAULT_SPREAD_WIDTH, help="gridding half-width")
-    tr.add_argument("--passes", type=int, default=0,
+    tr.add_argument("--passes", type=int, default=None,
                     help="refinement passes for types 4/5 (0 = plain method)")
-    tr.add_argument("--check-roundtrip", action="store_true",
+    tr.add_argument("--check-roundtrip", action="store_true", default=None,
                     help="after a type 4/5 solve, print the exact-forward residual")
 
     be = sub.add_parser("bench", help="run a figure-protocol benchmark sweep")
@@ -79,10 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
     be.add_argument("--trials", type=int, default=None)
     be.add_argument("--seed", type=int, default=None)
     be.add_argument("--method", nargs="+", choices=ALL_METHODS, default=None, dest="methods")
-    be.add_argument("--jitter", type=float, default=None, help="max node shift * P",
-                    dest="jitter_max", metavar="JITTER")
-    be.add_argument("--spread", type=int, default=None, dest="spread_width", metavar="SPREAD")
-    be.add_argument("--passes", type=int, default=None, dest="refine_passes", metavar="PASSES")
     be.add_argument("--dense-cap", type=int, default=None,
                     help="largest P at which GE/CG rows are computed")
 
@@ -91,10 +88,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _solve_params(args, P: int) -> MethodParams:
+    eta = args.eta if args.eta is not None else 2
     if args.a is not None:
-        return MethodParams(damping_a=args.a, eta=args.eta, spread_width=args.spread)
+        return MethodParams(damping_a=args.a, eta=eta)
     mu = args.mu if args.mu is not None else 1e-15
-    return MethodParams.from_mu(mu, P, args.eta, spread_width=args.spread)
+    return MethodParams.from_mu(mu, P, eta)
 
 
 def _fail(exc: Exception, code: int) -> int:
@@ -109,10 +107,15 @@ _INVERSES = {
     5: (refine_type5, lambda grid, x: nfft_type2_direct(x, grid)),
 }
 
+# the transform options each type reads; any other one given is a usage error
+_INVERSE_OPTIONS = ("eta", "mu", "a", "passes", "check_roundtrip")
+_TYPE_OPTIONS = {1: ("p",), 2: (), 4: _INVERSE_OPTIONS, 5: _INVERSE_OPTIONS}
+
 
 def _cmd_transform(args) -> int:
-    if args.check_roundtrip and args.kind not in _INVERSES:
-        raise ValueError(f"--check-roundtrip applies to types 4 and 5, not type {args.kind}")
+    for dest in ("p", *_INVERSE_OPTIONS):
+        if getattr(args, dest) is not None and dest not in _TYPE_OPTIONS[args.kind]:
+            raise ValueError(f"--{dest.replace('_', '-')} does not apply to type {args.kind}")
     try:
         grid = validate_grid(read_grid_file(args.grid))
     except NufftError as exc:
@@ -124,14 +127,14 @@ def _cmd_transform(args) -> int:
         if data.size != Q:
             raise ValueError(f"amplitude count {data.size} != grid size {Q}")
         R = args.p if args.p is not None else Q
-        out = nfft_type1(grid, data, R, kernel=kernel_for_size(R, args.spread))
+        out = nfft_type1(grid, data, R, kernel=kernel_for_size(R))
     elif args.kind == 2:
-        out = nfft_type2(data, grid, kernel=kernel_for_size(data.size, args.spread))
+        out = nfft_type2(data, grid, kernel=kernel_for_size(data.size))
     else:
         if data.size != Q:
             raise ValueError(f"data length {data.size} != grid size {Q}")
         solve, forward = _INVERSES[args.kind]
-        out = solve(build_plan(grid, _solve_params(args, Q)), data, passes=args.passes)
+        out = solve(build_plan(grid, _solve_params(args, Q)), data, passes=args.passes or 0)
     _ensure_parent(args.out)
     write_vector_file(args.out, out)
     if args.check_roundtrip:

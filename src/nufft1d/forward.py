@@ -72,8 +72,8 @@ def nfft_type1(
     """Spectrum samples A(p) = sum_q a_q e^{-2 pi i p t_q} for p = 0..R-1.
 
     O(R log R + Q) via gridding; relative l2 error is at the kernel's
-    accuracy target (~5e-15 at the default spread width). ``kernel`` may
-    be a length-R kernel or a spreader built from one for this grid.
+    accuracy target (~5e-15). ``kernel`` may be a length-R kernel or a
+    spreader built from one for this grid.
     """
     if R < 1:
         raise ValueError(f"output length must be >= 1, got {R}")

@@ -16,7 +16,6 @@ from .errors import (
 )
 
 DEFAULT_MIN_GAP = 1e-12
-DEFAULT_SPREAD_WIDTH = 14
 
 
 def as_complex_vector(values, length: int | None = None, name: str = "vector") -> np.ndarray:
@@ -117,25 +116,24 @@ def mu_from_damping(a: float, P: int, eta: int) -> float:
 
 @dataclass(frozen=True)
 class MethodParams:
-    """Inversion parameters: damping, oversampling, gridding width.
+    """Inversion parameters: damping and series oversampling.
 
     The truncation ratio mu only fixes the damping (``damping_from_mu``);
-    ``from_mu`` builds the parameters from it for the target grid size.
+    ``from_mu`` builds the parameters from it for the target grid size. The
+    gridding kernel is the same for every plan (``gridding.SPREAD_WIDTH``).
     """
 
     damping_a: float
     eta: int
-    spread_width: int = DEFAULT_SPREAD_WIDTH
 
     def __post_init__(self):
         if self.damping_a <= 0.0:
             raise NonPositiveDampingError(f"damping must be positive, got {self.damping_a!r}")
-        for name in ("eta", "spread_width"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and float(value).is_integer() and value >= 1):
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-            object.__setattr__(self, name, int(value))
+        eta = self.eta
+        if not (isinstance(eta, numbers.Real) and float(eta).is_integer() and eta >= 1):
+            raise ValueError(f"eta must be an integer >= 1, got {eta!r}")
+        object.__setattr__(self, "eta", int(eta))
 
     @classmethod
-    def from_mu(cls, mu: float, P: int, eta: int = 1, **kwargs) -> "MethodParams":
-        return cls(damping_a=damping_from_mu(mu, P, eta), eta=eta, **kwargs)
+    def from_mu(cls, mu: float, P: int, eta: int = 1) -> "MethodParams":
+        return cls(damping_a=damping_from_mu(mu, P, eta), eta=eta)

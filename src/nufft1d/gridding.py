@@ -1,8 +1,8 @@
 """Gaussian gridding kernel for the fast nonuniform transforms.
 
-A truncated Gaussian pulse on a 2x-oversampled grid, with the shape
-parameter balancing the aliasing and tail-truncation error exponents
-(both exp(-pi m / sqrt 2), about 5e-15 at the default half-width m = 14).
+A truncated Gaussian pulse of half-width m = 14 fine-grid points on a
+2x-oversampled grid, with the shape parameter balancing the aliasing and
+tail-truncation error exponents (both exp(-pi m / sqrt 2), about 5e-15).
 Deconvolution weights divide out the pulse's spectrum at the exact output
 frequencies; they are strictly positive.
 
@@ -26,18 +26,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import DEFAULT_SPREAD_WIDTH, NonuniformGrid
+from .grid import NonuniformGrid
+
+SPREAD_WIDTH = 14                                       # half-width m in fine-grid points
+_SHAPE_B = SPREAD_WIDTH / (2.0 * np.sqrt(2.0) * np.pi)  # b of exp(-x^2 / 4b), alias = tail exponent
 
 
 def cis_cycles(cycles) -> np.ndarray:
     """e^{2 pi i c} with c in cycles, reduced mod 1 in extended precision."""
     frac = np.mod(np.asarray(cycles, dtype=np.longdouble), 1.0)
     return np.exp(2j * np.pi * frac.astype(np.float64))
-
-
-def gaussian_shape(spread_width: int) -> float:
-    """Shape parameter b of exp(-x^2 / 4b) equating alias and tail exponents."""
-    return spread_width / (2.0 * np.sqrt(2.0) * np.pi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,17 +47,13 @@ class GriddingKernel:
     """
 
     size: int                 # output band length R
-    spread_width: int         # half-width m in fine-grid points
-    shape_b: float
     fine_size: int            # oversampled grid length, 2R
     band_shift: int           # K = R // 2, modulation making the band centered
     bins: np.ndarray          # fine-grid FFT bin of each output frequency
     deconv: np.ndarray        # 1 / (n Psi_nu), strictly positive, length R
     fold: np.ndarray          # fine-grid bin of each padded-grid point, length n + 2m + 1
 
-    @property
-    def taps(self) -> int:
-        return 2 * self.spread_width + 1
+    taps = 2 * SPREAD_WIDTH + 1
 
     def spread_geometry(self, instants: np.ndarray):
         """Padded fine-grid indices and signed distances for each source instant.
@@ -76,12 +70,12 @@ class GriddingKernel:
         frac = np.asarray(u - i0, dtype=np.float64)
         taps = np.arange(self.taps)
         idx = i0[:, None] + taps[None, :]
-        dist = (taps - self.spread_width)[None, :] - frac[:, None]
+        dist = (taps - SPREAD_WIDTH)[None, :] - frac[:, None]
         return idx, dist
 
     def weights(self, dist: np.ndarray) -> np.ndarray:
         w = dist * dist
-        w /= -4.0 * self.shape_b
+        w /= -4.0 * _SHAPE_B
         return np.exp(w, out=w)
 
     def spreader(self, grid: NonuniformGrid) -> "Spreader":
@@ -130,28 +124,17 @@ class Spreader:
 
 
 @lru_cache(maxsize=64)
-def kernel_for_size(size: int, spread_width: int = DEFAULT_SPREAD_WIDTH) -> GriddingKernel:
+def kernel_for_size(size: int) -> GriddingKernel:
     """Build (or fetch a cached) kernel for output length ``size``."""
     if size < 1:
         raise ValueError(f"transform size must be >= 1, got {size}")
-    if spread_width < 1:
-        raise ValueError(f"spread width must be >= 1, got {spread_width}")
-    b = gaussian_shape(spread_width)
     n = 2 * size
     K = size // 2
     nu = np.arange(size) - K
-    deconv = np.exp(b * (2.0 * np.pi * nu / n) ** 2) / np.sqrt(4.0 * np.pi * b)
+    deconv = np.exp(_SHAPE_B * (2.0 * np.pi * nu / n) ** 2) / np.sqrt(4.0 * np.pi * _SHAPE_B)
     bins = nu % n
-    fold = (np.arange(n + 2 * spread_width + 1) - spread_width) % n
+    fold = (np.arange(n + 2 * SPREAD_WIDTH + 1) - SPREAD_WIDTH) % n
     for arr in (deconv, bins, fold):
         arr.setflags(write=False)
-    return GriddingKernel(
-        size=size,
-        spread_width=spread_width,
-        shape_b=b,
-        fine_size=n,
-        band_shift=K,
-        bins=bins,
-        deconv=deconv,
-        fold=fold,
-    )
+    return GriddingKernel(size=size, fine_size=n, band_shift=K,
+                          bins=bins, deconv=deconv, fold=fold)

@@ -71,8 +71,8 @@ def build_plan(
     """Precompute everything grid-dependent for type-4/type-5 solves."""
     P = grid.size
     a = params.damping_a
-    kernel_fine = kernel_for_size(params.eta * P, params.spread_width)
-    kernel_base = kernel_for_size(P, params.spread_width)
+    kernel_fine = kernel_for_size(params.eta * P)
+    kernel_base = kernel_for_size(P)
     fine, base = kernel_fine, kernel_base
     if kernel_fine is kernel_base:
         # eta = 1: both stages grid these nodes with one kernel, so build its spreader once

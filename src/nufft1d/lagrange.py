@@ -20,7 +20,7 @@ from .errors import AmplificationWarning, KernelOverflowError, SingularDerivativ
 from .flops import FlopCounter, charge
 from .forward import nfft_type2, nonuniform_conv
 from .grid import MethodParams, NonuniformGrid, as_complex_vector
-from .gridding import GriddingKernel, Spreader, kernel_for_size
+from .gridding import GriddingKernel, Spreader
 
 # exp(|Re v|) must stay clear of the double-precision overflow threshold
 OVERFLOW_MARGIN = 16.0
@@ -52,15 +52,13 @@ def compute_v_samples(
     convolution of the truncated series against the node delta train.
 
     Truncation error is of order mu per node (the tail of the series past
-    index eta P - 1). ``kernel`` defaults to the length-eta P kernel of
-    ``params.spread_width``, the one ``inverse.build_plan`` grids with.
+    index eta P - 1). ``kernel`` defaults to the length-eta P kernel, the
+    one ``inverse.build_plan`` grids with.
     """
     P = grid.size
     R = params.eta * P
     if R < 2:
         raise ValueError("need eta * P >= 2 so the truncated series has at least one term")
-    if kernel is None:
-        kernel = kernel_for_size(R, params.spread_width)
     lam = series_coefficients(params.damping_a, R, flops=flops)
     ones = np.ones(P, dtype=np.complex128)
     return nonuniform_conv(grid, ones, lam, P, kernel=kernel, flops=flops)

@@ -184,11 +184,7 @@ def test_run_figure_rejects_unknown():
 
 def test_config_rejects_bad_jitter_and_method():
     with pytest.raises(ValueError):
-        TrialConfig(jitter_max=1.0)
-    with pytest.raises(ValueError):
         TrialConfig(methods=("GE", "QR"))
-    with pytest.raises(ValueError):
-        TrialConfig(refine_passes=-1)
     for bad in (dict(p=(1,)), dict(p=(64, 0)), dict(eta=(0,)), dict(eta=(1.5,)),
                 dict(trials=0), dict(mu=(0.0,)), dict(mu=(1e-9, 1.0)), dict(mu=(2.0,))):
         with pytest.raises(ValueError):
@@ -214,12 +210,3 @@ def test_figure_protocol_defaults():
     fig7 = FIGURE_DEFAULTS["fig7"]
     assert fig7.p == (1024,) and fig7.eta == tuple(range(1, 21))
     assert set(fig7.methods) == {"GE", "CG", "NFFT"}
-
-
-def test_multi_pass_sweep_skips_diverging_cells():
-    # extreme over-damping makes the plain error exceed one; a two-pass
-    # sweep must skip those cells instead of blowing up
-    cfg = TrialConfig(p=(64,), eta=(1,), mu=(1e-18, 1e-9), trials=1, seed=21,
-                      methods=(METHOD_RNFFT,), refine_passes=2)
-    rows = run_sweep(cfg)
-    assert {r.mu for r in rows} == {1e-9}

@@ -188,6 +188,26 @@ def test_roundtrip_flag_rejected_for_forward_types(kind, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind, option", [
+    ("2", ["--p", "8"]), ("4", ["--p", "8"]), ("5", ["--p", "8"]),
+    ("1", ["--mu", "1e-9"]), ("2", ["--mu", "1e-9"]),
+    ("1", ["--a", "0.05"]), ("2", ["--a", "0.05"]),
+    ("1", ["--eta", "2"]), ("2", ["--passes", "0"]),
+])
+def test_transform_rejects_options_its_type_ignores(kind, option, tmp_path, capsys):
+    # an option the requested type does not read is a usage error, not dropped silently
+    _, amps, gpath = write_trial(tmp_path)
+    dpath = tmp_path / "d.txt"
+    write_vector_file(dpath, amps)
+    out = tmp_path / "o.txt"
+    rc = main(["transform", "--type", kind, "--grid", str(gpath), "--data", str(dpath),
+               "--out", str(out), *option])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and option[0] in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("level", ["quick", "full"])
 def test_verify_quick(level, capsys):
     # verify has no levels: one run covers the checks of the former quick and
@@ -239,10 +259,31 @@ def test_bench_smoke(tmp_path):
 
 
 def test_bench_negative_passes_exit_code(tmp_path):
+    # a sweep runs one refinement pass; bench has no --passes option to set
     out = tmp_path / "fig1.csv"
-    rc = main(["bench", "--figure", "fig1", "--out", str(out), "--p", "16",
-               "--trials", "1", "--passes", "-1"])
-    assert rc == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--figure", "fig1", "--out", str(out), "--p", "16",
+              "--trials", "1", "--passes", "-1"])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["transform", "--type", "1", "--spread", "9"],
+    ["bench", "--figure", "fig1", "--p", "16", "--trials", "1", "--spread", "9"],
+    ["bench", "--figure", "fig1", "--p", "16", "--trials", "1", "--jitter", "0.3"],
+    ["bench", "--figure", "fig1", "--p", "16", "--trials", "1", "--passes", "2"],
+])
+def test_fixed_settings_are_not_options(argv, tmp_path):
+    # the gridding width, sweep jitter and sweep pass count are fixed, not settable
+    _, amps, gpath = write_trial(tmp_path)
+    dpath = tmp_path / "d.txt"
+    write_vector_file(dpath, amps)
+    out = tmp_path / "o.out"
+    files = ["--grid", str(gpath), "--data", str(dpath)] if argv[0] == "transform" else []
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *files, "--out", str(out)])
+    assert exc.value.code == 2
     assert not out.exists()
 
 
@@ -264,9 +305,6 @@ def test_bench_bad_config_exit_code(option, tmp_path, capsys):
     (["--trials", "4"], {"trials": 4}, None),
     (["--seed", "11"], {"seed": 11}, None),
     (["--method", "CG", "NFFT"], {"methods": ("CG", "NFFT")}, None),
-    (["--jitter", "0.3"], {"jitter_max": 0.3}, None),
-    (["--spread", "9"], {"spread_width": 9}, None),
-    (["--passes", "2"], {"refine_passes": 2}, None),
     (["--dense-cap", "64"], {}, 64),
 ])
 def test_bench_options_reach_run_figure(argv, overrides, dense_cap, tmp_path, monkeypatch):

@@ -249,20 +249,6 @@ def test_spreader_for_another_grid_rejected():
         nfft_type1(other, randc(P, rng), 2 * P, kernel=spread)
 
 
-def test_accuracy_improves_with_spread_width():
-    rng = np.random.default_rng(16)
-    P = 32
-    for _ in range(10):
-        grid = jittered(P, rng)
-        a = randc(P, rng)
-        truth = nfft_type1_direct(grid, a, P)
-        errs = [
-            rel(truth, nfft_type1(grid, a, P, kernel=kernel_for_size(P, m)))
-            for m in (4, 8, 12)
-        ]
-        assert errs[1] < errs[0] and errs[2] < errs[1]
-
-
 def test_kernel_tables_positive_finite_immutable():
     for size in (1, 7, 33, 256):
         k = kernel_for_size(size)

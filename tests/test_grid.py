@@ -107,9 +107,8 @@ def test_method_params_factories():
     p = MethodParams.from_mu(1e-12, 256, 2)
     assert abs(mu_from_damping(p.damping_a, 256, 2) - 1e-12) / 1e-12 < 1e-12
     assert p == MethodParams(damping_a=damping_from_mu(1e-12, 256, 2), eta=2)
-    assert p.spread_width == 14
-    # mu only fixes the damping, so it is not stored beside it
-    assert [f.name for f in fields(MethodParams)] == ["damping_a", "eta", "spread_width"]
+    # mu only fixes the damping, so it is not stored beside it; the gridding width is fixed
+    assert [f.name for f in fields(MethodParams)] == ["damping_a", "eta"]
 
 
 def test_method_params_validation():
@@ -119,20 +118,17 @@ def test_method_params_validation():
         MethodParams(damping_a=0.1, eta=0)
     with pytest.raises(ValueError):
         MethodParams(damping_a=0.1, eta=2.5)
-    with pytest.raises(ValueError):
-        MethodParams(damping_a=0.1, eta=1, spread_width=14.5)
-    with pytest.raises(ValueError):
-        MethodParams(damping_a=0.1, eta=1, spread_width=0)
     with pytest.raises(TypeError):
         MethodParams(damping_a=0.1, eta=1, mu=1e-9)
+    with pytest.raises(TypeError):
+        MethodParams(damping_a=0.1, eta=1, spread_width=14)
 
 
 def test_method_params_integral_floats_stored_as_int():
-    p = MethodParams.from_mu(1e-12, 16, eta=2.0, spread_width=14.0)
-    assert type(p.eta) is int and type(p.spread_width) is int
-    assert (p.eta, p.spread_width) == (2, 14)
+    p = MethodParams.from_mu(1e-12, 16, eta=2.0)
+    assert type(p.eta) is int and p.eta == 2
     grid = validate_grid(np.arange(16) / 16 + 0.01)
-    q = MethodParams.from_mu(1e-12, 16, eta=2, spread_width=14)
+    q = MethodParams.from_mu(1e-12, 16, eta=2)
     assert np.array_equal(build_plan(grid, p).node_weights, build_plan(grid, q).node_weights)
 
 

@@ -62,9 +62,9 @@ def test_v_against_log_sum():
 
 @pytest.mark.parametrize("eta", [1, 2])
 def test_v_default_kernel_follows_spread_width(eta):
-    # without kernel=, the samples grid at params.spread_width, as build_plan does
+    # without kernel=, the samples grid with the default length-eta P kernel, as build_plan does
     grid = jittered(64, np.random.default_rng(7))
-    params = MethodParams.from_mu(1e-12, 64, eta, spread_width=6)
+    params = MethodParams.from_mu(1e-12, 64, eta)
     ks = kernel_samples_from_v(compute_v_samples(grid, params), grid)
     assert ks.tobytes() == build_plan(grid, params).kernel_samples.tobytes()
 
