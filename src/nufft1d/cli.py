@@ -23,7 +23,6 @@ from .bench import (
 from .errors import NufftError
 from .forward import nfft_type1, nfft_type1_direct, nfft_type2, nfft_type2_direct
 from .grid import MethodParams, validate_grid
-from .gridding import kernel_for_size
 from .inverse import build_plan, refine_type4, refine_type5
 from .vecio import (
     default_out_dir,
@@ -127,9 +126,9 @@ def _cmd_transform(args) -> int:
         if data.size != Q:
             raise ValueError(f"amplitude count {data.size} != grid size {Q}")
         R = args.p if args.p is not None else Q
-        out = nfft_type1(grid, data, R, kernel=kernel_for_size(R))
+        out = nfft_type1(grid, data, R)
     elif args.kind == 2:
-        out = nfft_type2(data, grid, kernel=kernel_for_size(data.size))
+        out = nfft_type2(data, grid)
     else:
         if data.size != Q:
             raise ValueError(f"data length {data.size} != grid size {Q}")

@@ -4,8 +4,8 @@ The fast paths use Gaussian gridding with oversampling factor two; the
 _direct variants are exact O(PQ) summations kept as oracles for tests and
 residual checks. Both transform families are linear and are exact
 Hermitian transposes of one another. The oracles and the dense systems of
-``baselines`` take their phases e^{+-2 pi i r c} from one blockwise,
-extended-precision generator, ``_phase_blocks``.
+``baselines`` take their phases e^{+-2 pi i r c} from one blockwise
+generator, ``_phase_blocks``, with r * c reduced mod 1 exactly.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ import numpy as np
 from .errors import SizeMismatchError
 from .flops import FlopCounter, charge
 from .grid import NonuniformGrid, as_complex_vector
-from .gridding import GriddingKernel, Spreader, cis_cycles, kernel_for_size
+from .gridding import GriddingKernel, Spreader, kernel_for_size, round_product
 
-_PHASE_BLOCK = 256   # rows per phase block; bounds the extended-precision temporaries
+_PHASE_BLOCK = 256   # rows per phase block; bounds the (block x cols) temporaries
 
 
 def _idft_unnormalized(V: np.ndarray) -> np.ndarray:
@@ -105,13 +105,13 @@ def nfft_type2(
 def _phase_blocks(rows, cols, sign: int):
     """Yield (row slice, e^{sign 2 pi i r c}) for row blocks of ``rows`` against all ``cols``.
 
-    r * c is formed and reduced mod 1 in extended precision (``cis_cycles``).
+    The signed remainder of r * c mod 1 (``round_product``) is exponentiated
+    as it is, with no second rounding to [0, 1) as in ``cis_cycles``.
     """
-    r = np.asarray(rows, dtype=np.longdouble)
-    c = np.asarray(cols, dtype=np.longdouble)
+    r = sign * np.asarray(rows, dtype=np.float64)
     for lo in range(0, r.size, _PHASE_BLOCK):
         block = slice(lo, lo + _PHASE_BLOCK)
-        yield block, cis_cycles(sign * np.outer(r[block], c))
+        yield block, np.exp(2j * np.pi * round_product(r[block, None], cols)[1])
 
 
 def _direct(rows, cols, sign: int, vector: np.ndarray) -> np.ndarray:
@@ -126,8 +126,8 @@ def _direct(rows, cols, sign: int, vector: np.ndarray) -> np.ndarray:
 def nfft_type1_direct(grid: NonuniformGrid, amplitudes, R: int) -> np.ndarray:
     """Exact summation of the type-1 transform; O(RQ), oracle quality.
 
-    Phases are reduced mod 1 in extended precision so the oracle stays a
-    digit or two more accurate than the fast path it checks.
+    Phases are reduced mod 1 exactly so the oracle stays a digit or two
+    more accurate than the fast path it checks.
     """
     if R < 1:
         raise ValueError(f"output length must be >= 1, got {R}")

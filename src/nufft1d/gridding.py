@@ -8,9 +8,9 @@ frequencies; they are strictly positive.
 
 Output frequencies 0..R-1 are handled by shifting the band to be centered
 (a modulation by e^{+-2 pi i K t} with K = R // 2). The modulation phase
-K * t spans thousands of cycles, so it is reduced mod 1 in extended
-precision before exponentiation; in plain double the phase roundoff alone
-would cost ~1e-13 relative error at R = 4096.
+K * t spans thousands of cycles, so it is reduced mod 1 exactly, in plain
+double, by ``round_product``; rounded first, the phase alone would cost
+~1e-13 relative error at R = 4096.
 
 Spreading works on a padded fine grid of length n + 2m + 1, fine-grid
 point j - m held at padded index j, so no tap index is ever wrapped; the
@@ -33,9 +33,32 @@ _SHAPE_B = SPREAD_WIDTH / (2.0 * np.sqrt(2.0) * np.pi)  # b of exp(-x^2 / 4b), a
 
 
 def cis_cycles(cycles) -> np.ndarray:
-    """e^{2 pi i c} with c in cycles, reduced mod 1 in extended precision."""
-    frac = np.mod(np.asarray(cycles, dtype=np.longdouble), 1.0)
-    return np.exp(2j * np.pi * frac.astype(np.float64))
+    """e^{2 pi i c} with c in cycles, reduced mod 1 in the precision of ``cycles``."""
+    frac = np.mod(np.asarray(cycles), 1.0)
+    return np.exp(2j * np.pi * frac.astype(np.float64, copy=False))
+
+
+def round_product(x, y):
+    """(n, r): n the integer nearest x * y, r = x * y - n rounded once to double.
+
+    Dekker's exact product (Numer. Math. 18, 1971) of the Veltkamp-split
+    operands gives x * y = p + e exactly; p - n is then exact for |p| < 2^52.
+    """
+    p = x * y
+    cx, cy = 134217729.0 * x, 134217729.0 * y           # 2^27 + 1 splits into 26-bit halves
+    xh, yh = cx - (cx - x), cy - (cy - y)
+    xl, yl = x - xh, y - yh
+    e = (((xh * yh - p) + xh * yl) + xl * yh) + xl * yl
+    n = np.rint(p)
+    d = p - n
+    m = np.rint(d + np.copysign(2.0 ** -53, e))  # moves only d = +-1/2, the way e points
+    return n + m, (d - m) + e
+
+
+def sum_cycles(start: float, values) -> float:
+    """(start + sum(values)) mod 1, ``start`` a multiple of 1/2, within ~1e-17 of exact."""
+    n, r = round_product(2.0 ** 20, values)     # integer n: sum(n) exact below 2^32 values
+    return float(np.mod(np.mod(start + n.sum() / 2.0 ** 20, 1.0) + r.sum() / 2.0 ** 20, 1.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,15 +84,12 @@ class GriddingKernel:
         Row q holds the taps' indices i0 + j, j = 0..2m, into the padded
         grid of length n + 2m + 1 (``fold`` maps them to fine-grid bins
         i0 + j - m mod n), where i0 = rint(n t_q) lies in [0, n]; and the
-        distances j - m - (n t_q - i0). The product n * t is formed in
-        extended precision so the fractional offset carries full double
-        accuracy.
+        distances j - m - (n t_q - i0), with n t_q - i0 exact to one rounding
+        (``round_product``).
         """
-        u = self.fine_size * np.asarray(instants, dtype=np.longdouble)
-        i0 = np.rint(u).astype(np.int64)
-        frac = np.asarray(u - i0, dtype=np.float64)
+        i0, frac = round_product(self.fine_size, instants)
         taps = np.arange(self.taps)
-        idx = i0[:, None] + taps[None, :]
+        idx = i0.astype(np.int64)[:, None] + taps[None, :]
         dist = (taps - SPREAD_WIDTH)[None, :] - frac[:, None]
         return idx, dist
 
@@ -82,7 +102,7 @@ class GriddingKernel:
         """Indices, pulse weights and band-shift phases of ``grid``, computed once."""
         idx, dist = self.spread_geometry(grid.instants)
         pulse = self.weights(dist)
-        phase = cis_cycles(self.band_shift * np.asarray(grid.instants, dtype=np.longdouble))
+        phase = cis_cycles(round_product(self.band_shift, grid.instants)[1])
         for arr in (idx, pulse, phase):
             arr.setflags(write=False)
         return Spreader(kernel=self, grid=grid, indices=idx, pulse=pulse, phase=phase)

@@ -23,7 +23,7 @@ from .errors import NonConvergenceError
 from .flops import FlopCounter, charge
 from .forward import _idft_unnormalized, nfft_type1, nfft_type2
 from .grid import MethodParams, NonuniformGrid, as_complex_vector
-from .gridding import GriddingKernel, cis_cycles, kernel_for_size
+from .gridding import GriddingKernel, cis_cycles, kernel_for_size, round_product
 from .lagrange import (
     compute_v_samples,
     derivative_samples,
@@ -88,9 +88,8 @@ def build_plan(
     coef_scale = boost / P
 
     t = grid.instants
-    tl = np.asarray(t, dtype=np.longdouble)
-    h_boundary = 1.0 / (cis_cycles(-P * tl) * np.exp(-2.0 * np.pi * P * a) - 1.0)
-    node_weights = h_boundary / (dL * cis_cycles(tl))
+    h_boundary = 1.0 / (cis_cycles(round_product(-P, t)[1]) * np.exp(-2.0 * np.pi * P * a) - 1.0)
+    node_weights = h_boundary / (dL * cis_cycles(t))
     charge(
         flops,
         complex_exps=P + 2 * P + 1,     # decay table; e^{-2 pi i P t}, e^{2 pi i t}, e^{-2 pi P a}

@@ -20,7 +20,7 @@ from .errors import AmplificationWarning, KernelOverflowError, SingularDerivativ
 from .flops import FlopCounter, charge
 from .forward import nfft_type2, nonuniform_conv
 from .grid import MethodParams, NonuniformGrid, as_complex_vector
-from .gridding import GriddingKernel, Spreader
+from .gridding import GriddingKernel, Spreader, sum_cycles
 
 # exp(|Re v|) must stay clear of the double-precision overflow threshold
 OVERFLOW_MARGIN = 16.0
@@ -72,12 +72,10 @@ def kernel_samples_from_v(
     """Damped kernel samples L(e^{2 pi i (q/P + i a)}) = exp(i pi P + 2 pi i sum(t) + v).
 
     The constant phase P/2 + sum(t) spans about P/2 cycles, so it is reduced
-    mod 1 cycle (summed in extended precision, as in ``cis_cycles``) before it
-    is added to v. Unreduced, the exponent's imaginary part is ~2 pi P and
-    rounding it puts ~ulp(2 pi P) of sample-to-sample noise on every kernel
-    sample, which ``kernel_coefficients`` then multiplies by the undamping
-    e^{2 pi (P-1) a}. Where ``longdouble`` is plain double the reduction still
-    removes nearly all of that noise.
+    mod 1 cycle exactly (``sum_cycles``) before it is added to v. Unreduced,
+    the exponent's imaginary part is ~2 pi P and rounding it puts ~ulp(2 pi P)
+    of sample-to-sample noise on every kernel sample, which
+    ``kernel_coefficients`` then multiplies by the undamping e^{2 pi (P-1) a}.
     """
     v = as_complex_vector(v_samples, length=grid.size, name="v samples")
     worst = float(np.abs(v.real).max())
@@ -87,8 +85,7 @@ def kernel_samples_from_v(
             f"({RE_V_LIMIT:.1f}); the grid is too strongly clustered for this damping"
         )
     P = grid.size
-    cycles = np.mod(P / 2 + np.sum(grid.instants, dtype=np.longdouble), 1.0)
-    const = 2j * np.pi * float(cycles)
+    const = 2j * np.pi * sum_cycles(P / 2, grid.instants)
     # instant sum, constant shift of v, the exponential
     charge(flops, real_adds=P, complex_adds=P, complex_exps=P)
     return np.exp(const + v)

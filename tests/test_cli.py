@@ -65,6 +65,19 @@ def test_transform_type1_output_length(tmp_path):
     assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-12
 
 
+@pytest.mark.parametrize("p", ["0", "-3"])
+def test_transform_type1_rejects_nonpositive_length(p, tmp_path, capsys):
+    _, amps, gpath = write_trial(tmp_path)
+    dpath = tmp_path / "amps.txt"
+    write_vector_file(dpath, amps)
+    out = tmp_path / "spectrum.txt"
+    rc = main(["transform", "--type", "1", "--grid", str(gpath),
+               "--data", str(dpath), "--out", str(out), "--p", p])
+    assert rc == 2
+    assert "output length must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_transform_type4_roundtrip_flag(tmp_path, capsys):
     grid, amps, gpath = write_trial(tmp_path, P=16, seed=5)
     spectrum = nfft_type1_direct(grid, amps, 16)
