@@ -20,7 +20,7 @@ import numpy as np
 from .errors import SingularMatrixError
 from .flops import FlopCounter, charge
 from .forward import _phase_blocks, nfft_type1, nfft_type2
-from .grid import NonuniformGrid, as_complex_vector
+from .grid import NonuniformGrid, as_complex_vector, require_count
 from .gridding import kernel_for_size
 
 
@@ -108,16 +108,13 @@ def cg_solve(
     or at max_iter (default 4P), returning the best iterate with a
     convergence flag.
     """
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
     if which not in ("type4", "type5"):
         raise ValueError(f"unknown system kind {which!r}")
-    if max_iter is not None and max_iter < 0:
-        raise ValueError(f"iteration cap must be >= 0, got {max_iter}")
-    b = as_complex_vector(rhs, length=grid.size, name="rhs")
     P = grid.size
-    if max_iter is None:
-        max_iter = 4 * P
+    max_iter = 4 * P if max_iter is None else require_count(max_iter, "iteration cap", 0)
+    b = as_complex_vector(rhs, length=P, name="rhs")
 
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:

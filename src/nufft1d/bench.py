@@ -15,7 +15,6 @@ Errors are relative l2 ratios, reported both linear and in dB as
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, replace
 
@@ -30,7 +29,7 @@ from .errors import (
 )
 from .flops import FlopCounter
 from .forward import nfft_type1_direct
-from .grid import MethodParams, validate_grid
+from .grid import MethodParams, require_count, validate_grid
 from .inverse import build_plan, refine_type4, type4
 
 GE_SIZE_CAP = 8192
@@ -62,15 +61,13 @@ class TrialConfig:
     def __post_init__(self):
         for name, low in (("p", 2), ("eta", 1)):
             for value in getattr(self, name):
-                if not (isinstance(value, numbers.Real) and value >= low
-                        and float(value).is_integer()):
-                    raise ValueError(f"{name} values must be integers >= {low}, got {value!r}")
+                require_count(value, f"each {name} value", low)
         for mu in self.mu:
             # mu * (eta P - 1) >= 1 is a per-cell skip in run_sweep, not a config error
             if not 0.0 < mu < 1.0:
                 raise ValueError(f"mu values must lie in (0, 1), got {mu!r}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        object.__setattr__(self, "trials", require_count(self.trials, "trials", 1))
+        object.__setattr__(self, "seed", require_count(self.seed, "seed", 0))
         for m in self.methods:
             if m not in ALL_METHODS:
                 raise ValueError(f"unknown method {m!r}")

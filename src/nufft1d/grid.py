@@ -18,6 +18,15 @@ from .errors import (
 DEFAULT_MIN_GAP = 1e-12
 
 
+def require_count(value, name: str, low: int) -> int:
+    """``value`` as an int; ValueError unless it is an integer >= ``low``."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer())
+    if not (integral and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
 def as_complex_vector(values, length: int | None = None, name: str = "vector") -> np.ndarray:
     """Coerce to a finite 1-D complex128 array, optionally of fixed length."""
     arr = np.asarray(values, dtype=np.complex128)
@@ -129,10 +138,9 @@ class MethodParams:
     def __post_init__(self):
         if self.damping_a <= 0.0:
             raise NonPositiveDampingError(f"damping must be positive, got {self.damping_a!r}")
-        eta = self.eta
-        if not (isinstance(eta, numbers.Real) and float(eta).is_integer() and eta >= 1):
-            raise ValueError(f"eta must be an integer >= 1, got {eta!r}")
-        object.__setattr__(self, "eta", int(eta))
+        if not math.isfinite(self.damping_a):
+            raise ValueError(f"damping_a must be finite, got {self.damping_a!r}")
+        object.__setattr__(self, "eta", require_count(self.eta, "eta", 1))
 
     @classmethod
     def from_mu(cls, mu: float, P: int, eta: int = 1) -> "MethodParams":

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import NonConvergenceError
 from .flops import FlopCounter, charge
 from .forward import _idft_unnormalized, nfft_type1, nfft_type2
-from .grid import MethodParams, NonuniformGrid, as_complex_vector
+from .grid import MethodParams, NonuniformGrid, as_complex_vector, require_count
 from .gridding import GriddingKernel, cis_cycles, kernel_for_size, round_product
 from .lagrange import (
     compute_v_samples,
@@ -150,8 +150,7 @@ def _refine(plan: InversePlan, data, passes: int, kind: str, flops) -> np.ndarra
     """Solve, then ``passes`` residual corrections; the one path of every inverse solve."""
     name, solve = ("spectrum", _type4) if kind == "type4" else ("samples", _type5)
     data = as_complex_vector(data, length=plan.size, name=name)
-    if passes < 0:
-        raise ValueError(f"refinement passes must be >= 0, got {passes}")
+    passes = require_count(passes, "refinement passes", 0)
     # every transform of the solve, plain or refined, shares one spreader
     spread = plan.kernel_base.spreader(plan.grid)
     type1 = lambda x: nfft_type1(plan.grid, x, plan.size, kernel=spread, flops=flops)

@@ -7,7 +7,7 @@ v(q/P), the damped kernel samples L(e^{2 pi i (q/P + i a)}), the
 coefficients L_0..L_{P-1}, and the derivative values L'(e^{2 pi i t_p});
 ``inverse.build_plan`` runs the four stages in that order.
 Everything here is computed through FFT-sized operations; the O(P^2)
-brute-force counterparts live in the test suite as oracles.
+brute-force counterparts live in ``nufft1d.verify`` as oracles.
 """
 
 from __future__ import annotations

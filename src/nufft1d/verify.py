@@ -1,7 +1,9 @@
 """Self-check suite: every fast path against its independent brute-force oracle.
 
 All checks run at desk scale (P <= 64) in well under a second. Each check
-is named so the CLI can report the first failure precisely.
+is named so the CLI can report the first failure precisely. The O(P^2)
+oracles and the helpers ``jittered``, ``randc`` and ``rel`` are public, and
+the test suite uses them too.
 """
 
 from __future__ import annotations
@@ -38,16 +40,54 @@ def _require(ok: bool, detail: str):
         raise CheckFailure(detail)
 
 
-def _rel(truth, est) -> float:
+def rel(truth, est) -> float:
     return float(np.linalg.norm(np.asarray(truth) - np.asarray(est)) / np.linalg.norm(truth))
 
 
-def _jittered(P, rng):
-    return validate_grid(np.arange(P) / P + rng.uniform(0, 0.6 / P, P))
+def jittered(P, rng, jitter=0.6):
+    return validate_grid(np.arange(P) / P + rng.uniform(0, jitter / P, P))
 
 
-def _randc(P, rng):
-    return rng.standard_normal(P) + 1j * rng.standard_normal(P)
+def randc(n, rng):
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def conv_direct(grid, a, lam, P):
+    """sum_q a_q sum_r lam_r e^{2 pi i r (k/P - t_q)} for k < P, by direct sums."""
+    r = np.arange(len(lam))
+    return np.array([
+        sum(aq * np.sum(lam * np.exp(2j * np.pi * r * (k / P - tq)))
+            for aq, tq in zip(a, grid.instants))
+        for k in range(P)
+    ])
+
+
+def v_direct(grid, a):
+    """Log-sum v(q/P) = sum_p log(1 - e^{2 pi i (q/P - t_p + i a)}), by direct sums."""
+    q = np.arange(grid.size) / grid.size
+    return np.array([
+        np.sum(np.log(1 - np.exp(2j * np.pi * (qq - grid.instants + 1j * a)))) for qq in q
+    ])
+
+
+def kernel_samples_direct(grid, a):
+    """Damped samples L(e^{2 pi i (q/P + i a)}) as products of root differences."""
+    z = np.exp(2j * np.pi * (np.arange(grid.size) / grid.size + 1j * a))
+    return np.array([np.prod(zz - np.exp(2j * np.pi * grid.instants)) for zz in z])
+
+
+def polynomial_coefficients(grid):
+    """Monomial coefficients of L, low to high degree, by convolving its P linear factors."""
+    c = np.array([1.0 + 0j])
+    for t in grid.instants:
+        c = np.convolve(c, np.array([-np.exp(2j * np.pi * t), 1.0]))
+    return c
+
+
+def derivative_direct(grid):
+    """L'(z_p) = prod_{j != p} (z_p - z_j) at the nodes z_p = e^{2 pi i t_p}."""
+    z = np.exp(2j * np.pi * grid.instants)
+    return np.array([np.prod(z[j] - np.delete(z, j)) for j in range(grid.size)])
 
 
 def check_damping_round_trip():
@@ -61,7 +101,7 @@ def check_damping_round_trip():
 def check_dft_naive():
     rng = np.random.default_rng(11)
     N = 8
-    v = _randc(N, rng)
+    v = randc(N, rng)
     naive = np.array([
         sum(v[q] * np.exp(-2j * np.pi * p * q / N) for q in range(N)) for p in range(N)
     ])
@@ -72,20 +112,20 @@ def check_dft_naive():
 def check_forward_oracle(kind: int, seed: int):
     rng = np.random.default_rng(seed)
     for P in (16, 64):
-        grid = _jittered(P, rng)
-        x = _randc(P, rng)
+        grid = jittered(P, rng)
+        x = randc(P, rng)
         if kind == 1:
-            err = _rel(nfft_type1_direct(grid, x, P), nfft_type1(grid, x, P))
+            err = rel(nfft_type1_direct(grid, x, P), nfft_type1(grid, x, P))
         else:
-            err = _rel(nfft_type2_direct(x, grid), nfft_type2(x, grid))
+            err = rel(nfft_type2_direct(x, grid), nfft_type2(x, grid))
         _require(err < 1e-12, f"type-{kind} fast path off by {err:.2e} at P={P}")
 
 
 def check_adjoint_pairing():
     rng = np.random.default_rng(14)
     P = 32
-    grid = _jittered(P, rng)
-    x, y = _randc(P, rng), _randc(P, rng)
+    grid = jittered(P, rng)
+    x, y = randc(P, rng), randc(P, rng)
     lhs = np.vdot(y, nfft_type1(grid, x, P))
     rhs = np.vdot(nfft_type2(y, grid), x)
     err = abs(lhs - rhs) / abs(lhs)
@@ -94,26 +134,16 @@ def check_adjoint_pairing():
 
 def check_conv_oracle():
     rng = np.random.default_rng(15)
-    Q = P = 8
-    eta = 2
-    grid = _jittered(Q, rng)
-    a = _randc(Q, rng)
-    lam = _randc(eta * P, rng)
-    got = nonuniform_conv(grid, a, lam, P)
-    r = np.arange(eta * P)
-    want = np.array([
-        sum(
-            a[q] * np.sum(lam * np.exp(2j * np.pi * r * (k / P - grid.instants[q])))
-            for q in range(Q)
-        )
-        for k in range(P)
-    ])
-    err = _rel(want, got)
+    P = 8
+    grid = jittered(P, rng)
+    a = randc(P, rng)
+    lam = randc(2 * P, rng)
+    err = rel(conv_direct(grid, a, lam, P), nonuniform_conv(grid, a, lam, P))
     _require(err < 1e-11, f"nonuniform convolution off by {err:.2e}")
 
 
 def _small_plan(P, rng, mu=1e-11):
-    grid = _jittered(P, rng)
+    grid = jittered(P, rng)
     params = MethodParams.from_mu(mu, P, 2)
     return grid, params
 
@@ -123,13 +153,8 @@ def check_v_samples():
     P, mu = 8, 1e-11
     grid, params = _small_plan(P, rng, mu)
     v = compute_v_samples(grid, params)
-    q = np.arange(P) / P
-    direct = np.array([
-        np.sum(np.log(1 - np.exp(2j * np.pi * (qq - grid.instants + 1j * params.damping_a))))
-        for qq in q
-    ])
     tol = 10 * mu * P + 1e-12
-    err = float(np.abs(v - direct).max())
+    err = float(np.abs(v - v_direct(grid, params.damping_a)).max())
     _require(err < tol, f"log-sum samples off by {err:.2e} (tolerance {tol:.2e})")
 
 
@@ -138,9 +163,7 @@ def check_kernel_samples():
     P = 8
     grid, params = _small_plan(P, rng)
     ks = kernel_samples_from_v(compute_v_samples(grid, params), grid)
-    z = np.exp(2j * np.pi * (np.arange(P) / P + 1j * params.damping_a))
-    direct = np.array([np.prod(zz - np.exp(2j * np.pi * grid.instants)) for zz in z])
-    err = _rel(direct, ks)
+    err = rel(kernel_samples_direct(grid, params.damping_a), ks)
     _require(err < 1e-11, f"kernel samples off by {err:.2e}")
 
 
@@ -150,10 +173,8 @@ def check_coefficient_recovery():
     grid, params = _small_plan(P, rng)
     ks = kernel_samples_from_v(compute_v_samples(grid, params), grid)
     coeffs = kernel_coefficients(ks, params)
-    poly = np.array([1.0 + 0j])
-    for tp in grid.instants:
-        poly = np.convolve(poly, np.array([-np.exp(2j * np.pi * tp), 1.0]))
-    err = _rel(poly[:P], coeffs)
+    poly = polynomial_coefficients(grid)
+    err = rel(poly[:P], coeffs)
     _require(err < 1e-10, f"coefficient recovery off by {err:.2e}")
     _require(abs(poly[P] - 1.0) < 1e-12, "leading coefficient deviates from one")
 
@@ -164,9 +185,7 @@ def check_derivative_oracle():
         grid, params = _small_plan(P, rng)
         ks = kernel_samples_from_v(compute_v_samples(grid, params), grid)
         dL = derivative_samples(kernel_coefficients(ks, params), grid)
-        z = np.exp(2j * np.pi * grid.instants)
-        direct = np.array([np.prod(z[j] - np.delete(z, j)) for j in range(P)])
-        err = _rel(direct, dL)
+        err = rel(derivative_direct(grid), dL)
         _require(err < 1e-10, f"derivative samples off by {err:.2e} at P={P}")
 
 
@@ -176,8 +195,8 @@ def check_dense_solve(kind: int, seed: int):
     for P, tol in ((8, 1e-10), (32, 1e-9)):
         grid, params = _small_plan(P, rng)
         plan = build_plan(grid, params)
-        rhs = _randc(P, rng)
-        err = _rel(ge_solve(system(grid, rhs)), solve(plan, rhs))
+        rhs = randc(P, rng)
+        err = rel(ge_solve(system(grid, rhs)), solve(plan, rhs))
         _require(err < tol, f"type-{kind} solve deviates from dense solve by {err:.2e} at P={P}")
 
 
@@ -192,26 +211,26 @@ def check_uniform_closed_forms():
     err = float(np.abs(plan.coefficients - expected).max())
     _require(err < 1e-12, f"uniform-grid coefficients deviate by {err:.2e}")
     dL_expected = P * np.exp(-2j * np.pi * np.arange(P) / P)
-    err = _rel(dL_expected, plan.derivative_samples)
+    err = rel(dL_expected, plan.derivative_samples)
     _require(err < 1e-12, f"uniform-grid derivative samples deviate by {err:.2e}")
-    s = _randc(P, rng)
-    err = _rel(np.fft.fft(s) / P, type5(plan, s))
+    s = randc(P, rng)
+    err = rel(np.fft.fft(s) / P, type5(plan, s))
     _require(err < 1e-12, f"uniform-grid type-5 deviates from forward transform by {err:.2e}")
-    A = _randc(P, rng)
-    err = _rel(np.fft.ifft(A), type4(plan, A))
+    A = randc(P, rng)
+    err = rel(np.fft.ifft(A), type4(plan, A))
     _require(err < 1e-12, f"uniform-grid type-4 deviates from inverse transform by {err:.2e}")
 
 
 def check_refinement_contraction():
     rng = np.random.default_rng(23)
     P = 64
-    grid = _jittered(P, rng)
+    grid = jittered(P, rng)
     params = MethodParams.from_mu(1e-6, P, 1)
     plan = build_plan(grid, params)
-    S_true = _randc(P, rng)
+    S_true = randc(P, rng)
     samples = nfft_type2_direct(S_true, grid)
-    e0 = _rel(S_true, type5(plan, samples))
-    e1 = _rel(S_true, refine_type5(plan, samples, passes=1))
+    e0 = rel(S_true, type5(plan, samples))
+    e1 = rel(S_true, refine_type5(plan, samples, passes=1))
     _require(e1 < e0, f"refinement did not contract: {e0:.2e} -> {e1:.2e}")
 
 
@@ -221,8 +240,8 @@ def check_flop_duality():
     grid, params = _small_plan(P, rng)
     plan = build_plan(grid, params)
     c5, c4 = FlopCounter(), FlopCounter()
-    type5(plan, _randc(P, rng), flops=c5)
-    type4(plan, _randc(P, rng), flops=c4)
+    type5(plan, randc(P, rng), flops=c5)
+    type4(plan, randc(P, rng), flops=c4)
     _require(
         c5.report() == c4.report(),
         "type-4 and type-5 flop reports differ on one plan",

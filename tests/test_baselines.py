@@ -14,10 +14,7 @@ from nufft1d import (
     type5_system,
     validate_grid,
 )
-
-
-def randc(n, rng):
-    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+from nufft1d.verify import randc
 
 
 def test_ge_scalar_system():
@@ -131,12 +128,15 @@ def test_cg_iteration_cap():
 
 def test_cg_rejects_bad_arguments():
     grid, _ = generate_trial(8, 1)
-    with pytest.raises(ValueError):
-        cg_solve(grid, np.ones(8), tol=0.0)
+    for tol in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            cg_solve(grid, np.ones(8), tol=tol)
     with pytest.raises(ValueError):
         cg_solve(grid, np.ones(8), which="type3")
     with pytest.raises(ValueError):
         cg_solve(grid, np.ones(8), max_iter=-3)
+    with pytest.raises(ValueError):
+        cg_solve(grid, np.ones(8), max_iter=2.5)
 
 
 @pytest.mark.parametrize("which", ["type4", "type5"])

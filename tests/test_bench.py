@@ -186,7 +186,8 @@ def test_config_rejects_bad_jitter_and_method():
     with pytest.raises(ValueError):
         TrialConfig(methods=("GE", "QR"))
     for bad in (dict(p=(1,)), dict(p=(64, 0)), dict(eta=(0,)), dict(eta=(1.5,)),
-                dict(trials=0), dict(mu=(0.0,)), dict(mu=(1e-9, 1.0)), dict(mu=(2.0,))):
+                dict(trials=0), dict(trials=2.5), dict(seed=-1), dict(seed=0.5),
+                dict(mu=(0.0,)), dict(mu=(1e-9, 1.0)), dict(mu=(2.0,))):
         with pytest.raises(ValueError):
             TrialConfig(**bad)
 

@@ -11,18 +11,7 @@ from nufft1d import (
     nonuniform_conv,
     validate_grid,
 )
-
-
-def jittered(P, rng, jitter=0.6):
-    return validate_grid(np.arange(P) / P + rng.uniform(0, jitter / P, P))
-
-
-def randc(n, rng):
-    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
-
-
-def rel(truth, got):
-    return np.linalg.norm(np.asarray(truth) - np.asarray(got)) / np.linalg.norm(truth)
+from nufft1d.verify import conv_direct, jittered, randc, rel
 
 
 # --- direct oracles are themselves checked against naive python loops --------
@@ -134,17 +123,6 @@ def test_adjoint_consistency():
 
 
 # --- nonuniform convolution ---------------------------------------------------
-
-def conv_direct(grid, a, lam, P):
-    r = np.arange(len(lam))
-    return np.array([
-        sum(
-            a[q] * np.sum(lam * np.exp(2j * np.pi * r * (k / P - tq)))
-            for q, tq in enumerate(grid.instants)
-        )
-        for k in range(P)
-    ])
-
 
 def test_conv_constant_kernel():
     rng = np.random.default_rng(11)

@@ -114,6 +114,9 @@ def test_method_params_factories():
 def test_method_params_validation():
     with pytest.raises(NonPositiveDampingError):
         MethodParams(damping_a=-0.1, eta=1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="damping_a"):
+            MethodParams(damping_a=bad, eta=2)
     with pytest.raises(ValueError):
         MethodParams(damping_a=0.1, eta=0)
     with pytest.raises(ValueError):
@@ -127,6 +130,8 @@ def test_method_params_validation():
 def test_method_params_integral_floats_stored_as_int():
     p = MethodParams.from_mu(1e-12, 16, eta=2.0)
     assert type(p.eta) is int and p.eta == 2
+    # an int is checked as it is, never through a float that could overflow
+    assert MethodParams(damping_a=0.1, eta=10**400).eta == 10**400
     grid = validate_grid(np.arange(16) / 16 + 0.01)
     q = MethodParams.from_mu(1e-12, 16, eta=2)
     assert np.array_equal(build_plan(grid, p).node_weights, build_plan(grid, q).node_weights)

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from nufft1d import (
+    DuplicateNodeError,
     FlopCounter,
     GriddingKernel,
     MethodParams,
     NonConvergenceError,
+    NufftError,
     build_plan,
     ge_solve,
     generate_trial,
@@ -20,14 +22,7 @@ from nufft1d import (
     type5_system,
     validate_grid,
 )
-
-
-def jittered(P, rng, jitter=0.6):
-    return validate_grid(np.arange(P) / P + rng.uniform(0, jitter / P, P))
-
-
-def randc(n, rng):
-    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+from nufft1d.verify import derivative_direct, jittered, randc
 
 
 def std_params(P, mu=1e-11, eta=2, **kw):
@@ -70,9 +65,8 @@ def test_plan_fields_match_small_scale_oracles():
     plan = build_plan(grid, params)
     a = params.damping_a
     z = np.exp(2j * np.pi * grid.instants)
-    dL = np.array([np.prod(z[j] - np.delete(z, j)) for j in range(P)])
     h = 1.0 / (np.exp(-2j * np.pi * P * grid.instants) * np.exp(-2 * np.pi * P * a) - 1.0)
-    expected = h / (dL * z)
+    expected = h / (derivative_direct(grid) * z)
     assert relative_error(expected, plan.node_weights) < 1e-9
     assert np.all(np.isfinite(plan.node_weights)) and np.all(plan.node_weights != 0)
 
@@ -284,6 +278,33 @@ def test_node_families_against_ground_truth(family, kind):
     assert relative_error(truth, refine(plan, data, passes=1)) <= 1e-12
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="plain solves on i.i.d. uniform nodes return silently wrong answers")
+@pytest.mark.parametrize("seed", [0, 1])
+def test_iid_uniform_nodes_meet_bound_or_raise(seed):
+    # every solve either meets its accuracy or raises; here, cond ~1e17, neither happens
+    P = 1024
+    rng = np.random.default_rng(seed)
+    while True:
+        try:
+            grid = validate_grid(np.sort(rng.uniform(0, 1, P)))
+            break
+        except DuplicateNodeError:
+            pass
+    truth = randc(P, rng)
+    try:
+        plan = build_plan(grid, MethodParams.from_mu(1e-15, P, eta=6))
+    except NufftError:
+        return
+    for solve, data in ((type4, nfft_type1_direct(grid, truth, P)),
+                        (type5, nfft_type2_direct(truth, grid))):
+        try:
+            err = relative_error(truth, solve(plan, data))
+        except NufftError:
+            continue
+        assert err <= 1e-6, f"{solve.__name__}: relative error {err:.2g}"
+
+
 def test_refine_rejects_negative_passes():
     rng = np.random.default_rng(12)
     P = 32
@@ -293,6 +314,9 @@ def test_refine_rejects_negative_passes():
         refine_type4(plan, randc(P, rng), passes=-3)
     with pytest.raises(ValueError):
         refine_type5(plan, randc(P, rng), passes=-1)
+    for refine in (refine_type4, refine_type5):
+        with pytest.raises(ValueError):
+            refine(plan, randc(P, rng), passes=1.5)
 
 
 def test_refine_type4_contracts_error_exponent():

@@ -14,29 +14,14 @@ from nufft1d import (
     validate_grid,
 )
 from nufft1d.errors import KernelOverflowError
-
-
-def jittered(P, rng, jitter=0.6):
-    return validate_grid(np.arange(P) / P + rng.uniform(0, jitter / P, P))
-
-
-def rel(truth, got):
-    return np.linalg.norm(np.asarray(truth) - np.asarray(got)) / np.linalg.norm(truth)
-
-
-def v_direct(grid, a):
-    q = np.arange(grid.size) / grid.size
-    return np.array([
-        np.sum(np.log(1 - np.exp(2j * np.pi * (qq - grid.instants + 1j * a)))) for qq in q
-    ])
-
-
-def poly_coefficients(grid):
-    """Monomial-convolution expansion, low to high degree; valid at small P."""
-    c = np.array([1.0 + 0j])
-    for t in grid.instants:
-        c = np.convolve(c, np.array([-np.exp(2j * np.pi * t), 1.0]))
-    return c
+from nufft1d.verify import (
+    derivative_direct,
+    jittered,
+    kernel_samples_direct,
+    polynomial_coefficients,
+    rel,
+    v_direct,
+)
 
 
 # --- v samples ------------------------------------------------------------------
@@ -107,9 +92,7 @@ def test_kernel_samples_product_oracle():
     grid = jittered(P, rng)
     params = MethodParams.from_mu(1e-13, P, eta=2)
     ks = kernel_samples_from_v(compute_v_samples(grid, params), grid)
-    z = np.exp(2j * np.pi * (np.arange(P) / P + 1j * params.damping_a))
-    direct = np.array([np.prod(zz - np.exp(2j * np.pi * grid.instants)) for zz in z])
-    assert rel(direct, ks) < 1e-11
+    assert rel(kernel_samples_direct(grid, params.damping_a), ks) < 1e-11
 
 
 def test_kernel_overflow_guard():
@@ -145,7 +128,7 @@ def test_coefficients_expansion_oracle():
     grid = jittered(P, rng)
     params = MethodParams.from_mu(1e-11, P, eta=2)
     L = kernel_coefficients(kernel_samples_from_v(compute_v_samples(grid, params), grid), params)
-    poly = poly_coefficients(grid)
+    poly = polynomial_coefficients(grid)
     assert rel(poly[:P], L) < 1e-10
     assert abs(poly[P] - 1.0) < 1e-12  # leading coefficient is one
 
@@ -183,7 +166,7 @@ def test_derivative_oracles():
     params = MethodParams.from_mu(1e-11, P, eta=2)
     data = build_plan(grid, params)
     # oracle 1: differentiate the expansion, evaluate by Horner
-    poly = poly_coefficients(grid)
+    poly = polynomial_coefficients(grid)
     dpoly = poly[1:] * np.arange(1, P + 1)
     z = np.exp(2j * np.pi * grid.instants)
     horner = np.zeros(P, dtype=complex)
@@ -191,8 +174,7 @@ def test_derivative_oracles():
         horner = horner * z + c
     assert rel(horner, data.derivative_samples) < 1e-10
     # oracle 2: product of root differences (well conditioned at any P)
-    direct = np.array([np.prod(z[j] - np.delete(z, j)) for j in range(P)])
-    assert rel(direct, data.derivative_samples) < 1e-10
+    assert rel(derivative_direct(grid), data.derivative_samples) < 1e-10
 
 
 def test_singular_derivative_guard(monkeypatch):
@@ -233,9 +215,7 @@ def test_log_identity_up_to_winding():
     params = MethodParams.from_mu(1e-13, P, eta=2)
     v = compute_v_samples(grid, params)
     ks = kernel_samples_from_v(v, grid)
-    z = np.exp(2j * np.pi * (np.arange(P) / P + 1j * params.damping_a))
-    direct = np.array([np.prod(zz - np.exp(2j * np.pi * grid.instants)) for zz in z])
-    assert rel(direct, ks) < 1e-10
+    assert rel(kernel_samples_direct(grid, params.damping_a), ks) < 1e-10
 
 
 def test_end_to_end_kernel_identity():
