@@ -67,7 +67,10 @@ class TrialConfig:
             if not 0.0 < mu < 1.0:
                 raise ValueError(f"mu values must lie in (0, 1), got {mu!r}")
         object.__setattr__(self, "trials", require_count(self.trials, "trials", 1))
-        object.__setattr__(self, "seed", require_count(self.seed, "seed", 0))
+        seed = require_count(self.seed, "seed", 0)
+        if seed >= 2**128:   # each trial's Philox key is seed ^ trial, below 2**128
+            raise ValueError(f"seed must be below 2**128, got {seed}")
+        object.__setattr__(self, "seed", seed)
         for m in self.methods:
             if m not in ALL_METHODS:
                 raise ValueError(f"unknown method {m!r}")

@@ -144,12 +144,16 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    overrides = {
-        f.name: tuple(v) if isinstance(v, list) else v
-        for f in fields(TrialConfig)
-        if (v := getattr(args, f.name)) is not None
-    }
-    config = replace(FIGURE_DEFAULTS[args.figure], **overrides)
+    # options are applied one field at a time, so a rejected value names its option
+    config = FIGURE_DEFAULTS[args.figure]
+    for f in fields(TrialConfig):
+        if (v := getattr(args, f.name)) is None:
+            continue
+        try:
+            config = replace(config, **{f.name: tuple(v) if isinstance(v, list) else v})
+        except ValueError as exc:
+            option = "--method" if f.name == "methods" else f"--{f.name}"
+            raise ValueError(f"{option}: {exc}") from None
     records, meta = run_figure(args.figure, config, dense_cap=args.dense_cap)
     meta["version"] = __version__
     out = args.out if args.out else os.path.join(default_out_dir(), f"{args.figure}.csv")

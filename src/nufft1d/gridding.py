@@ -15,8 +15,14 @@ double, by ``round_product``; rounded first, the phase alone would cost
 Spreading works on a padded fine grid of length n + 2m + 1, fine-grid
 point j - m held at padded index j, so no tap index is ever wrapped; the
 padded edges are folded back onto the periodic grid once per transform.
-A ``Spreader`` holds one grid's indices, pulse weights and band-shift
-phases, computed once and shared by every transform of a call.
+The taps of instant q are the 2m + 1 consecutive padded points from its
+start index i0, so a ``Spreader`` stores i0 alone, not a table of tap
+indices (as NFFT3 keeps a compact per-node window; Keiner, Kunis, Potts,
+ACM TOMS 36(4), 2009): start indices, pulse weights and band-shift
+phases, 8 + 8 * taps + 16 = 256 bytes per instant, computed once and
+shared by every transform of a call. Scatter is one complex ``np.add.at``
+onto the padded grid and one more that folds it; both add in index order,
+as ``np.bincount`` does.
 """
 
 from __future__ import annotations
@@ -79,68 +85,82 @@ class GriddingKernel:
     taps = 2 * SPREAD_WIDTH + 1
 
     def spread_geometry(self, instants: np.ndarray):
-        """Padded fine-grid indices and signed distances for each source instant.
+        """Padded fine-grid start indices and signed tap distances of each instant.
 
-        Row q holds the taps' indices i0 + j, j = 0..2m, into the padded
-        grid of length n + 2m + 1 (``fold`` maps them to fine-grid bins
-        i0 + j - m mod n), where i0 = rint(n t_q) lies in [0, n]; and the
-        distances j - m - (n t_q - i0), with n t_q - i0 exact to one rounding
+        The taps of instant q are the padded points i0 + j, j = 0..2m, of the
+        padded grid of length n + 2m + 1 (``fold`` maps them to fine-grid bins
+        i0 + j - m mod n), where the (Q,) int64 start index i0 = rint(n t_q)
+        lies in [0, n]. Row q of the (Q, taps) distances holds
+        j - m - (n t_q - i0), with n t_q - i0 exact to one rounding
         (``round_product``).
         """
         i0, frac = round_product(self.fine_size, instants)
-        taps = np.arange(self.taps)
-        idx = i0.astype(np.int64)[:, None] + taps[None, :]
-        dist = (taps - SPREAD_WIDTH)[None, :] - frac[:, None]
-        return idx, dist
+        dist = (np.arange(self.taps) - SPREAD_WIDTH)[None, :] - frac[:, None]
+        return i0.astype(np.int64), dist
 
     def weights(self, dist: np.ndarray) -> np.ndarray:
-        w = dist * dist
-        w /= -4.0 * _SHAPE_B
-        return np.exp(w, out=w)
+        """Gaussian pulse weights at the distances ``dist``, computed in place.
+
+        ``dist`` is overwritten with the weights, which are returned.
+        """
+        dist *= dist
+        dist /= -4.0 * _SHAPE_B
+        return np.exp(dist, out=dist)
 
     def spreader(self, grid: NonuniformGrid) -> "Spreader":
-        """Indices, pulse weights and band-shift phases of ``grid``, computed once."""
-        idx, dist = self.spread_geometry(grid.instants)
+        """Start indices, pulse weights and band-shift phases of ``grid``, computed once."""
+        starts, dist = self.spread_geometry(grid.instants)
         pulse = self.weights(dist)
         phase = cis_cycles(round_product(self.band_shift, grid.instants)[1])
-        for arr in (idx, pulse, phase):
+        for arr in (starts, pulse, phase):
             arr.setflags(write=False)
-        return Spreader(kernel=self, grid=grid, indices=idx, pulse=pulse, phase=phase)
+        return Spreader(kernel=self, grid=grid, starts=starts, pulse=pulse, phase=phase)
 
 
 @dataclass(frozen=True, eq=False)
 class Spreader:
     """One grid's gridding data for one kernel, shared by the transforms of a call.
 
-    ``indices`` and ``pulse`` are the (Q, taps) padded fine-grid indices and
-    pulse weights of ``kernel.spread_geometry`` and ``kernel.weights``;
-    ``phase`` is the band shift e^{+2 pi i K t_q}. It costs 16 bytes per tap;
-    its arrays are read-only, so it can be shared across threads.
+    ``starts`` (Q,) and ``pulse`` (Q, taps) are the padded fine-grid start
+    indices and pulse weights of ``kernel.spread_geometry`` and
+    ``kernel.weights``; tap j of instant q sits at padded index
+    starts[q] + j. ``phase`` is the band shift e^{+2 pi i K t_q}. Starts and
+    pulse cost 8 + 8 * taps = 240 bytes per instant, 256 with the phase.
+    ``scatter`` sums with complex ``np.add.at``, which adds in index order
+    as ``np.bincount`` does; ``gather`` reads a window view of the padded
+    grid at each start. The arrays are read-only, so a spreader can be
+    shared across threads.
     """
 
     kernel: GriddingKernel
     grid: NonuniformGrid
-    indices: np.ndarray
+    starts: np.ndarray
     pulse: np.ndarray
     phase: np.ndarray
 
     def scatter(self, values: np.ndarray) -> np.ndarray:
         """Band-shifted values spread onto the periodic fine grid (length n)."""
+        kernel = self.kernel
         shifted = values * np.conj(self.phase)
-        flat = self.indices.ravel()
-        fold = self.kernel.fold
-
-        def spread(part):
-            padded = np.bincount(flat, weights=(self.pulse * part[:, None]).ravel(),
-                                 minlength=fold.size)
-            return np.bincount(fold, weights=padded, minlength=self.kernel.fine_size)
-
-        return spread(shifted.real) + 1j * spread(shifted.imag)
+        flat = (self.starts[:, None] + np.arange(kernel.taps)).ravel()
+        padded = np.zeros(kernel.fold.size, dtype=np.complex128)
+        np.add.at(padded, flat, (self.pulse * shifted[:, None]).ravel())
+        # folded by index, not by adding slices: for R <= 7 an edge pad (m or
+        # m + 1 points) is longer than the fine grid and wraps onto it repeatedly
+        fine = np.zeros(kernel.fine_size, dtype=np.complex128)
+        np.add.at(fine, kernel.fold, padded)
+        return fine
 
     def gather(self, fine: np.ndarray) -> np.ndarray:
         """Windowed sums of the periodic fine-grid sequence at each instant, band-shifted."""
+        taps = self.kernel.taps
         padded = fine[self.kernel.fold]
-        return np.einsum("qj,qj->q", self.pulse, padded[self.indices]) * self.phase
+        # row i of the (n + 1, taps) view is padded[i : i + taps]; indexing it
+        # by start copies each instant's taps, and checks every start's bounds
+        stride = padded.strides[0]
+        windows = np.lib.stride_tricks.as_strided(
+            padded, shape=(padded.size - taps + 1, taps), strides=(stride, stride), writeable=False)
+        return np.einsum("qj,qj->q", self.pulse, windows[self.starts]) * self.phase
 
 
 @lru_cache(maxsize=64)

@@ -190,6 +190,10 @@ def test_config_rejects_bad_jitter_and_method():
                 dict(mu=(0.0,)), dict(mu=(1e-9, 1.0)), dict(mu=(2.0,))):
         with pytest.raises(ValueError):
             TrialConfig(**bad)
+    # each trial's Philox key is seed ^ trial, which must stay below 2**128
+    with pytest.raises(ValueError, match="seed"):
+        TrialConfig(seed=2**128)
+    assert TrialConfig(seed=2**128 - 1).seed == 2**128 - 1
 
 
 def test_figure_protocol_defaults():

@@ -301,13 +301,13 @@ def test_fixed_settings_are_not_options(argv, tmp_path):
 
 
 @pytest.mark.parametrize("option", [["--mu", "0"], ["--mu", "2"], ["--eta", "0"],
-                                    ["--trials", "0"]])
+                                    ["--trials", "0"], ["--seed", str(2**128)]])
 def test_bench_bad_config_exit_code(option, tmp_path, capsys):
     out = tmp_path / "fig1.csv"
     rc = main(["bench", "--figure", "fig1", "--out", str(out), "--p", "16",
                "--trials", "1", "--eta", "1", *option])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith(f"error: {option[0]}: ")
     assert not out.exists()
 
 

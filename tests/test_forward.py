@@ -227,6 +227,33 @@ def test_spreader_for_another_grid_rejected():
         nfft_type1(other, randc(P, rng), 2 * P, kernel=spread)
 
 
+@pytest.mark.parametrize("R", [1, 3, 8, 64])
+def test_scatter_gather_adjoint(R):
+    # <scatter(x), y> = <x, gather(y)>: the two sides of one spreader are exact
+    # transposes, also where starts repeat and where the fine grid (2R points)
+    # is shorter than the 29-tap pulse. Jitter 0.99 puts neighbours near one
+    # fine-grid point, and a node 1e-12 after another shares its start index.
+    rng = np.random.default_rng(23 + R)
+    t = jittered(64, rng, 0.99).instants
+    grid = validate_grid(np.sort(np.append(t, t[32] + 1e-12)), min_gap=1e-13)
+    spread = kernel_for_size(R).spreader(grid)
+    assert np.unique(spread.starts).size < grid.size
+    x, y = randc(grid.size, rng), randc(2 * R, rng)
+    lhs, rhs = np.vdot(spread.scatter(x), y), np.vdot(x, spread.gather(y))
+    assert abs(lhs - rhs) <= 1e-15 * abs(lhs)
+
+
+def test_spreader_footprint():
+    # start indices, pulse weights and phases only: no (Q, taps) index table
+    P = 100
+    grid = jittered(P, np.random.default_rng(24))
+    spread = kernel_for_size(P).spreader(grid)
+    taps = spread.kernel.taps
+    assert spread.starts.shape == (P,) and spread.pulse.shape == (P, taps)
+    nbytes = sum(arr.nbytes for arr in (spread.starts, spread.pulse, spread.phase))
+    assert nbytes == P * (8 + 8 * taps + 16)
+
+
 def test_kernel_tables_positive_finite_immutable():
     for size in (1, 7, 33, 256):
         k = kernel_for_size(size)
