@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import SizeMismatchError
 from .flops import FlopCounter, charge
-from .grid import NonuniformGrid, as_complex_vector
+from .grid import NonuniformGrid, as_complex_vector, require_count
 from .gridding import GriddingKernel, Spreader, kernel_for_size, round_product
 
 _PHASE_BLOCK = 256   # rows per phase block; bounds the (block x cols) temporaries
@@ -75,8 +75,7 @@ def nfft_type1(
     accuracy target (~5e-15). ``kernel`` may be a length-R kernel or a
     spreader built from one for this grid.
     """
-    if R < 1:
-        raise ValueError(f"output length must be >= 1, got {R}")
+    R = require_count(R, "output length", 1)
     a = as_complex_vector(amplitudes, length=grid.size, name="amplitudes")
     spread = _gridding_kernel(kernel, grid, R, flops)
     spectrum = np.fft.fft(spread.scatter(a))
@@ -129,8 +128,7 @@ def nfft_type1_direct(grid: NonuniformGrid, amplitudes, R: int) -> np.ndarray:
     Phases are reduced mod 1 exactly so the oracle stays a digit or two
     more accurate than the fast path it checks.
     """
-    if R < 1:
-        raise ValueError(f"output length must be >= 1, got {R}")
+    R = require_count(R, "output length", 1)
     a = as_complex_vector(amplitudes, length=grid.size, name="amplitudes")
     return _direct(np.arange(R), grid.instants, -1, a)
 
@@ -155,8 +153,7 @@ def nonuniform_conv(
     polynomial, R an integer multiple of P. One type-1 transform of length
     R, an aliasing fold down to length P, and one unnormalized inverse FFT.
     """
-    if P < 1:
-        raise ValueError(f"output length must be >= 1, got {P}")
+    P = require_count(P, "output length", 1)
     lam = np.asarray(lam_coefficients)
     R = lam.size
     if R % P != 0:

@@ -20,9 +20,17 @@ start index i0, so a ``Spreader`` stores i0 alone, not a table of tap
 indices (as NFFT3 keeps a compact per-node window; Keiner, Kunis, Potts,
 ACM TOMS 36(4), 2009): start indices, pulse weights and band-shift
 phases, 8 + 8 * taps + 16 = 256 bytes per instant, computed once and
-shared by every transform of a call. Scatter is one complex ``np.add.at``
-onto the padded grid and one more that folds it; both add in index order,
-as ``np.bincount`` does.
+shared by every transform of a call.
+
+The build, the scatter and the gather walk the instants in blocks of
+``_SPREAD_BLOCK`` = 1024, as FINUFFT spreads in cache-sized subproblems
+(Barnett, Magland, af Klinteberg, SIAM J. Sci. Comput. 41, 2019). Only a
+block's (block, taps) temporaries exist at once: its tap distances, flat
+tap indices, complex products or gathered windows, about 0.7 MB in all,
+instead of (Q, taps) arrays of up to 90 MB at Q = 131072. Scatter makes one
+complex ``np.add.at`` per block onto the padded grid, in node order, and
+one more that folds it; ``np.add.at`` adds in index order, as
+``np.bincount`` does, so the blocked sums equal one call's bit for bit.
 """
 
 from __future__ import annotations
@@ -32,10 +40,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import NonuniformGrid
+from .grid import NonuniformGrid, require_count
 
 SPREAD_WIDTH = 14                                       # half-width m in fine-grid points
 _SHAPE_B = SPREAD_WIDTH / (2.0 * np.sqrt(2.0) * np.pi)  # b of exp(-x^2 / 4b), alias = tail exponent
+_SPREAD_BLOCK = 1024    # instants per block; bounds the (block x taps) temporaries
+
+
+def _blocks(size: int):
+    """Consecutive slices of ``_SPREAD_BLOCK`` instants covering ``range(size)``."""
+    return (slice(lo, lo + _SPREAD_BLOCK) for lo in range(0, size, _SPREAD_BLOCK))
 
 
 def cis_cycles(cycles) -> np.ndarray:
@@ -108,10 +122,18 @@ class GriddingKernel:
         return np.exp(dist, out=dist)
 
     def spreader(self, grid: NonuniformGrid) -> "Spreader":
-        """Start indices, pulse weights and band-shift phases of ``grid``, computed once."""
-        starts, dist = self.spread_geometry(grid.instants)
-        pulse = self.weights(dist)
-        phase = cis_cycles(round_product(self.band_shift, grid.instants)[1])
+        """Start indices, pulse weights and band-shift phases of ``grid``, computed once.
+
+        Geometry and weights are computed one block of instants at a time
+        into the preallocated (Q,) starts and (Q, taps) pulse.
+        """
+        t = grid.instants
+        starts = np.empty(t.size, dtype=np.int64)
+        pulse = np.empty((t.size, self.taps))
+        for block in _blocks(t.size):
+            starts[block], dist = self.spread_geometry(t[block])
+            pulse[block] = self.weights(dist)
+        phase = cis_cycles(round_product(self.band_shift, t)[1])
         for arr in (starts, pulse, phase):
             arr.setflags(write=False)
         return Spreader(kernel=self, grid=grid, starts=starts, pulse=pulse, phase=phase)
@@ -126,10 +148,13 @@ class Spreader:
     ``kernel.weights``; tap j of instant q sits at padded index
     starts[q] + j. ``phase`` is the band shift e^{+2 pi i K t_q}. Starts and
     pulse cost 8 + 8 * taps = 240 bytes per instant, 256 with the phase.
-    ``scatter`` sums with complex ``np.add.at``, which adds in index order
-    as ``np.bincount`` does; ``gather`` reads a window view of the padded
-    grid at each start. The arrays are read-only, so a spreader can be
-    shared across threads.
+    ``scatter`` and ``gather`` walk the instants in blocks of
+    ``_SPREAD_BLOCK``, so their flat tap indices, complex products and
+    gathered windows are (block, taps), not (Q, taps). ``scatter`` sums with
+    one complex ``np.add.at`` per block, in node order, which adds in index
+    order as ``np.bincount`` does; ``gather`` reads a window view of the
+    padded grid at each start. The arrays are read-only, so a spreader can
+    be shared across threads.
     """
 
     kernel: GriddingKernel
@@ -142,9 +167,11 @@ class Spreader:
         """Band-shifted values spread onto the periodic fine grid (length n)."""
         kernel = self.kernel
         shifted = values * np.conj(self.phase)
-        flat = (self.starts[:, None] + np.arange(kernel.taps)).ravel()
+        offsets = np.arange(kernel.taps)
         padded = np.zeros(kernel.fold.size, dtype=np.complex128)
-        np.add.at(padded, flat, (self.pulse * shifted[:, None]).ravel())
+        for block in _blocks(shifted.size):
+            flat = (self.starts[block, None] + offsets).ravel()
+            np.add.at(padded, flat, (self.pulse[block] * shifted[block, None]).ravel())
         # folded by index, not by adding slices: for R <= 7 an edge pad (m or
         # m + 1 points) is longer than the fine grid and wraps onto it repeatedly
         fine = np.zeros(kernel.fine_size, dtype=np.complex128)
@@ -160,14 +187,24 @@ class Spreader:
         stride = padded.strides[0]
         windows = np.lib.stride_tricks.as_strided(
             padded, shape=(padded.size - taps + 1, taps), strides=(stride, stride), writeable=False)
-        return np.einsum("qj,qj->q", self.pulse, windows[self.starts]) * self.phase
+        out = np.empty(self.starts.size, dtype=np.complex128)
+        for block in _blocks(out.size):
+            np.einsum("qj,qj->q", self.pulse[block], windows[self.starts[block]], out=out[block])
+        out *= self.phase
+        return out
+
+
+def kernel_for_size(size: int) -> GriddingKernel:
+    """Build (or fetch a cached) kernel for output length ``size``.
+
+    ``size`` is checked and made an int before the cache, so 6, 6.0 and
+    ``np.int64(6)`` share one kernel; 2.5 raises ValueError.
+    """
+    return _cached_kernel(require_count(size, "transform size", 1))
 
 
 @lru_cache(maxsize=64)
-def kernel_for_size(size: int) -> GriddingKernel:
-    """Build (or fetch a cached) kernel for output length ``size``."""
-    if size < 1:
-        raise ValueError(f"transform size must be >= 1, got {size}")
+def _cached_kernel(size: int) -> GriddingKernel:
     n = 2 * size
     K = size // 2
     nu = np.arange(size) - K
@@ -178,3 +215,8 @@ def kernel_for_size(size: int) -> GriddingKernel:
         arr.setflags(write=False)
     return GriddingKernel(size=size, fine_size=n, band_shift=K,
                           bins=bins, deconv=deconv, fold=fold)
+
+
+# the cache's statistics and reset, reachable from the public name
+kernel_for_size.cache_info = _cached_kernel.cache_info
+kernel_for_size.cache_clear = _cached_kernel.cache_clear

@@ -74,7 +74,7 @@ def test_transform_type1_rejects_nonpositive_length(p, tmp_path, capsys):
     rc = main(["transform", "--type", "1", "--grid", str(gpath),
                "--data", str(dpath), "--out", str(out), "--p", p])
     assert rc == 2
-    assert "output length must be >= 1" in capsys.readouterr().err
+    assert "output length must be an integer >= 1" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from nufft1d import (
     nonuniform_conv,
     validate_grid,
 )
+from nufft1d.gridding import _SPREAD_BLOCK
 from nufft1d.verify import conv_direct, jittered, randc, rel
 
 
@@ -175,6 +178,25 @@ def test_type1_rejects_nonpositive_length(transform):
             transform(grid, np.ones(6), R)
 
 
+def test_sizes_must_be_integers():
+    # an integral float or numpy integer means that size; anything else is refused by name
+    rng = np.random.default_rng(16)
+    grid = jittered(6, rng)
+    a, lam = randc(6, rng), randc(12, rng)
+    kernel = kernel_for_size(6)
+    assert kernel_for_size(6.0) is kernel and kernel_for_size(np.int64(6)) is kernel
+    assert type(kernel.size) is int
+    assert np.array_equal(nfft_type1(grid, a, 6.0), nfft_type1(grid, a, 6))
+    assert np.array_equal(nfft_type1_direct(grid, a, 6.0), nfft_type1_direct(grid, a, 6))
+    assert np.array_equal(nonuniform_conv(grid, a, lam, 6.0), nonuniform_conv(grid, a, lam, 6))
+    with pytest.raises(ValueError, match="transform size must be an integer >= 1, got 2.5"):
+        kernel_for_size(2.5)
+    for call in (lambda: nfft_type1(grid, a, 2.5), lambda: nfft_type1_direct(grid, a, 2.5),
+                 lambda: nonuniform_conv(grid, a, lam, 2.5)):
+        with pytest.raises(ValueError, match="output length must be an integer >= 1, got 2.5"):
+            call()
+
+
 def test_conv_linearity():
     rng = np.random.default_rng(15)
     grid = jittered(7, rng)
@@ -241,6 +263,70 @@ def test_scatter_gather_adjoint(R):
     x, y = randc(grid.size, rng), randc(2 * R, rng)
     lhs, rhs = np.vdot(spread.scatter(x), y), np.vdot(x, spread.gather(y))
     assert abs(lhs - rhs) <= 1e-15 * abs(lhs)
+
+
+def _scatter_monolithic(spread, x):
+    # one np.add.at over every tap of every instant, then the fold
+    kernel = spread.kernel
+    flat = (spread.starts[:, None] + np.arange(kernel.taps)).ravel()
+    padded = np.zeros(kernel.fold.size, dtype=np.complex128)
+    np.add.at(padded, flat, (spread.pulse * (x * np.conj(spread.phase))[:, None]).ravel())
+    fine = np.zeros(kernel.fine_size, dtype=np.complex128)
+    np.add.at(fine, kernel.fold, padded)
+    return fine
+
+
+def _gather_monolithic(spread, y):
+    # one einsum over the (Q, taps) windows of every instant
+    kernel = spread.kernel
+    windows = y[kernel.fold][spread.starts[:, None] + np.arange(kernel.taps)]
+    return np.einsum("qj,qj->q", spread.pulse, windows) * spread.phase
+
+
+@pytest.mark.parametrize("R", [3, 64, 2 * _SPREAD_BLOCK + 37])
+def test_blocked_spreader_matches_monolithic(R):
+    # three blocks, the last one partial, in the caller's unsorted order; the
+    # last node of the first block and the first of the second are 1e-12 apart,
+    # so one start index straddles the block edge
+    rng = np.random.default_rng(25)
+    Q = 2 * _SPREAD_BLOCK + 37
+    t = rng.permutation(jittered(Q - 1, rng, 0.99).instants)
+    grid = validate_grid(np.insert(t, _SPREAD_BLOCK, t[_SPREAD_BLOCK - 1] + 1e-12), min_gap=1e-13)
+    kernel = kernel_for_size(R)
+    spread = kernel.spreader(grid)
+    assert spread.starts[_SPREAD_BLOCK - 1] == spread.starts[_SPREAD_BLOCK]
+    starts, dist = kernel.spread_geometry(grid.instants)
+    assert spread.starts.tobytes() == starts.tobytes()
+    assert spread.pulse.tobytes() == kernel.weights(dist).tobytes()
+    x, y = randc(Q, rng), randc(2 * R, rng)
+    fine, values = spread.scatter(x), spread.gather(y)
+    assert fine.tobytes() == _scatter_monolithic(spread, x).tobytes()
+    assert values.tobytes() == _gather_monolithic(spread, y).tobytes()
+    # scaled by |x| |gather(y)|, the Cauchy-Schwarz bound on either side: the
+    # roundoff of a sum of Q * taps terms grows with Q, and against |lhs| it
+    # reaches ~1.3e-15 here
+    lhs, rhs = np.vdot(fine, y), np.vdot(x, values)
+    assert abs(lhs - rhs) <= 1e-15 * np.linalg.norm(x) * np.linalg.norm(values)
+
+
+def test_transform_working_set_with_prebuilt_spreader():
+    # with the spreader built, a transform holds a few fine-grid-length arrays and
+    # one block's (block, taps) temporaries, never a (Q, taps) array (3.8 MB here)
+    P = 16384
+    rng = np.random.default_rng(26)
+    grid = jittered(P, rng)
+    spread = kernel_for_size(P).spreader(grid)
+    a, S = randc(P, rng), randc(P, rng)
+    for call in (lambda: nfft_type1(grid, a, P, kernel=spread),
+                 lambda: nfft_type2(S, grid, kernel=spread)):
+        call()      # first FFT of this size outside the trace
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20
 
 
 def test_spreader_footprint():
