@@ -12,7 +12,7 @@ harness round out the package.
 
 __version__ = "0.1.0"
 
-from .baselines import CGResult, DenseSystem, cg_solve, ge_solve, type4_system, type5_system
+from .baselines import CGResult, cg_solve, ge_solve, type4_system, type5_system
 from .bench import (
     TrialConfig,
     TrialResult,
@@ -63,7 +63,6 @@ from .lagrange import (
 __all__ = [
     "AmplificationWarning",
     "CGResult",
-    "DenseSystem",
     "DuplicateNodeError",
     "FlopCounter",
     "FlopReport",

@@ -19,18 +19,10 @@ import numpy as np
 
 from .errors import SingularMatrixError
 from .flops import FlopCounter, charge
-from .forward import _phase_blocks, nfft_type1, nfft_type2
+from .forward import _phase_blocks
 from .grid import NonuniformGrid, as_complex_vector, require_count
 from .gridding import kernel_for_size
-
-
-@dataclass(frozen=True, eq=False)
-class DenseSystem:
-    """One dense P x P system; the type-4 and type-5 matrices for a grid
-    are Hermitian transposes of each other."""
-
-    matrix: np.ndarray
-    rhs: np.ndarray
+from .inverse import _transform_pair
 
 
 def _phase_matrix(rows, cols, sign: int, flops: FlopCounter | None) -> np.ndarray:
@@ -43,29 +35,29 @@ def _phase_matrix(rows, cols, sign: int, flops: FlopCounter | None) -> np.ndarra
     return M
 
 
-def type4_system(grid: NonuniformGrid, spectrum, flops: FlopCounter | None = None) -> DenseSystem:
-    """System whose solution is the delta-train amplitudes."""
-    rhs = as_complex_vector(spectrum, length=grid.size, name="spectrum")
-    return DenseSystem(_phase_matrix(np.arange(grid.size), grid.instants, -1, flops), rhs)
+def type4_system(grid: NonuniformGrid, flops: FlopCounter | None = None) -> np.ndarray:
+    """Matrix whose solve recovers the delta-train amplitudes from the spectrum."""
+    return _phase_matrix(np.arange(grid.size), grid.instants, -1, flops)
 
 
-def type5_system(grid: NonuniformGrid, samples, flops: FlopCounter | None = None) -> DenseSystem:
-    """System whose solution is the polynomial coefficients."""
-    rhs = as_complex_vector(samples, length=grid.size, name="samples")
-    return DenseSystem(_phase_matrix(grid.instants, np.arange(grid.size), +1, flops), rhs)
+def type5_system(grid: NonuniformGrid, flops: FlopCounter | None = None) -> np.ndarray:
+    """Matrix whose solve recovers the polynomial coefficients from the samples."""
+    return _phase_matrix(grid.instants, np.arange(grid.size), +1, flops)
 
 
-def ge_solve(system: DenseSystem, flops: FlopCounter | None = None) -> np.ndarray:
+def ge_solve(matrix, rhs, flops: FlopCounter | None = None) -> np.ndarray:
     """Gaussian elimination with partial pivoting (LAPACK zgesv).
 
-    Raises SingularMatrixError when LAPACK meets an exactly zero pivot or
-    the solution is not finite.
+    Raises ValueError for a non-square matrix or a non-finite right-hand
+    side, LengthMismatchError for one of the wrong length, and
+    SingularMatrixError when LAPACK meets an exactly zero pivot or the
+    solution is not finite.
     """
-    A = np.asarray(system.matrix, dtype=np.complex128)
-    b = np.asarray(system.rhs, dtype=np.complex128)
+    A = np.asarray(matrix, dtype=np.complex128)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {A.shape}")
     n = A.shape[0]
-    if A.shape != (n, n) or b.shape != (n,):
-        raise ValueError("system must be square with a matching right-hand side")
+    b = as_complex_vector(rhs, length=n, name="rhs")
     try:
         x = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
@@ -110,21 +102,14 @@ def cg_solve(
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
-    if which not in ("type4", "type5"):
-        raise ValueError(f"unknown system kind {which!r}")
     P = grid.size
+    apply_A, apply_AH = _transform_pair(kernel_for_size(P).spreader(grid), which, flops)
     max_iter = 4 * P if max_iter is None else require_count(max_iter, "iteration cap", 0)
     b = as_complex_vector(rhs, length=P, name="rhs")
 
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return CGResult(np.zeros(P, dtype=np.complex128), 0, True, 0.0)
-
-    spread = kernel_for_size(P).spreader(grid)
-    type1 = lambda x: nfft_type1(grid, x, P, kernel=spread, flops=flops)
-    type2 = lambda y: nfft_type2(y, grid, kernel=spread, flops=flops)
-    # type 4's matrix is the type-1 transform, type 5's its transpose
-    apply_A, apply_AH = (type1, type2) if which == "type4" else (type2, type1)
 
     x = np.zeros(P, dtype=np.complex128)
     r = b.copy()

@@ -153,7 +153,7 @@ def run_sweep(config: TrialConfig) -> list[TrialResult]:
 
                 if METHOD_GE in config.methods:
                     counter = FlopCounter()
-                    x = ge_solve(type4_system(grid, spectrum, flops=counter), flops=counter)
+                    x = ge_solve(type4_system(grid, flops=counter), spectrum, flops=counter)
                     record(METHOD_GE, x, counter)
                 if METHOD_CG in config.methods:
                     counter = FlopCounter()

@@ -11,13 +11,12 @@ import os
 import sys
 from dataclasses import fields, replace
 
-import numpy as np
-
 from . import __version__
 from .bench import (
     ALL_METHODS,
     FIGURE_DEFAULTS,
     TrialConfig,
+    relative_error,
     run_figure,
 )
 from .errors import NufftError
@@ -134,11 +133,11 @@ def _cmd_transform(args) -> int:
             raise ValueError(f"data length {data.size} != grid size {Q}")
         solve, forward = _INVERSES[args.kind]
         out = solve(build_plan(grid, _solve_params(args, Q)), data, passes=args.passes or 0)
+        if args.check_roundtrip:
+            # before the write, so data with no defined residual leaves no output file
+            print(f"roundtrip-residual {relative_error(data, forward(grid, out)):.17g}")
     _ensure_parent(args.out)
     write_vector_file(args.out, out)
-    if args.check_roundtrip:
-        resid = float(np.linalg.norm(forward(grid, out) - data) / np.linalg.norm(data))
-        print(f"roundtrip-residual {resid:.17g}")
     print(f"wrote {args.out}")
     return EXIT_OK
 

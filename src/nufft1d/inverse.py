@@ -23,7 +23,7 @@ from .errors import NonConvergenceError
 from .flops import FlopCounter, charge
 from .forward import _idft_unnormalized, nfft_type1, nfft_type2
 from .grid import MethodParams, NonuniformGrid, as_complex_vector, require_count
-from .gridding import GriddingKernel, cis_cycles, kernel_for_size, round_product
+from .gridding import GriddingKernel, Spreader, cis_cycles, kernel_for_size, round_product
 from .lagrange import (
     compute_v_samples,
     derivative_samples,
@@ -146,17 +146,28 @@ def _type4(plan: InversePlan, A: np.ndarray, type2, flops) -> np.ndarray:
     return s_nodes * plan.node_weights
 
 
+def _transform_pair(spread: Spreader, kind: str, flops):
+    """The system matrix A of a ``kind`` system and its Hermitian transpose, as fast transforms.
+
+    Type 4's A is the type-1 transform and type 5's the type-2 one; both
+    run on ``spread``, so every product shares its spreader.
+    """
+    if kind not in ("type4", "type5"):
+        raise ValueError(f"unknown system kind {kind!r}")
+    grid, P = spread.grid, spread.kernel.size
+    type1 = lambda x: nfft_type1(grid, x, P, kernel=spread, flops=flops)
+    type2 = lambda y: nfft_type2(y, grid, kernel=spread, flops=flops)
+    return (type1, type2) if kind == "type4" else (type2, type1)
+
+
 def _refine(plan: InversePlan, data, passes: int, kind: str, flops) -> np.ndarray:
     """Solve, then ``passes`` residual corrections; the one path of every inverse solve."""
     name, solve = ("spectrum", _type4) if kind == "type4" else ("samples", _type5)
     data = as_complex_vector(data, length=plan.size, name=name)
     passes = require_count(passes, "refinement passes", 0)
-    # every transform of the solve, plain or refined, shares one spreader
-    spread = plan.kernel_base.spreader(plan.grid)
-    type1 = lambda x: nfft_type1(plan.grid, x, plan.size, kernel=spread, flops=flops)
-    type2 = lambda y: nfft_type2(y, plan.grid, kernel=spread, flops=flops)
-    # type 4 inverts the type-1 transform by way of a type-2 one, type 5 the reverse
-    forward, adjoint = (type1, type2) if kind == "type4" else (type2, type1)
+    # every transform of the solve, plain or refined, shares one spreader;
+    # each solve applies the transpose of the transform it inverts
+    forward, adjoint = _transform_pair(plan.kernel_base.spreader(plan.grid), kind, flops)
     x = solve(plan, data, adjoint, flops)
     P = plan.size
     prev_norm = None

@@ -2,8 +2,8 @@
 
 All checks run at desk scale (P <= 64) in well under a second. Each check
 is named so the CLI can report the first failure precisely. The O(P^2)
-oracles and the helpers ``jittered``, ``randc`` and ``rel`` are public, and
-the test suite uses them too.
+oracles and the helpers ``jittered`` and ``randc`` are public, and the
+test suite uses them too; errors are ``bench.relative_error``.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from functools import partial
 import numpy as np
 
 from .baselines import ge_solve, type4_system, type5_system
+from .bench import relative_error
 from .flops import FlopCounter
 from .forward import (
     nfft_type1,
@@ -38,10 +39,6 @@ class CheckFailure(AssertionError):
 def _require(ok: bool, detail: str):
     if not ok:
         raise CheckFailure(detail)
-
-
-def rel(truth, est) -> float:
-    return float(np.linalg.norm(np.asarray(truth) - np.asarray(est)) / np.linalg.norm(truth))
 
 
 def jittered(P, rng, jitter=0.6):
@@ -115,9 +112,9 @@ def check_forward_oracle(kind: int, seed: int):
         grid = jittered(P, rng)
         x = randc(P, rng)
         if kind == 1:
-            err = rel(nfft_type1_direct(grid, x, P), nfft_type1(grid, x, P))
+            err = relative_error(nfft_type1_direct(grid, x, P), nfft_type1(grid, x, P))
         else:
-            err = rel(nfft_type2_direct(x, grid), nfft_type2(x, grid))
+            err = relative_error(nfft_type2_direct(x, grid), nfft_type2(x, grid))
         _require(err < 1e-12, f"type-{kind} fast path off by {err:.2e} at P={P}")
 
 
@@ -138,7 +135,7 @@ def check_conv_oracle():
     grid = jittered(P, rng)
     a = randc(P, rng)
     lam = randc(2 * P, rng)
-    err = rel(conv_direct(grid, a, lam, P), nonuniform_conv(grid, a, lam, P))
+    err = relative_error(conv_direct(grid, a, lam, P), nonuniform_conv(grid, a, lam, P))
     _require(err < 1e-11, f"nonuniform convolution off by {err:.2e}")
 
 
@@ -163,7 +160,7 @@ def check_kernel_samples():
     P = 8
     grid, params = _small_plan(P, rng)
     ks = kernel_samples_from_v(compute_v_samples(grid, params), grid)
-    err = rel(kernel_samples_direct(grid, params.damping_a), ks)
+    err = relative_error(kernel_samples_direct(grid, params.damping_a), ks)
     _require(err < 1e-11, f"kernel samples off by {err:.2e}")
 
 
@@ -174,7 +171,7 @@ def check_coefficient_recovery():
     ks = kernel_samples_from_v(compute_v_samples(grid, params), grid)
     coeffs = kernel_coefficients(ks, params)
     poly = polynomial_coefficients(grid)
-    err = rel(poly[:P], coeffs)
+    err = relative_error(poly[:P], coeffs)
     _require(err < 1e-10, f"coefficient recovery off by {err:.2e}")
     _require(abs(poly[P] - 1.0) < 1e-12, "leading coefficient deviates from one")
 
@@ -185,7 +182,7 @@ def check_derivative_oracle():
         grid, params = _small_plan(P, rng)
         ks = kernel_samples_from_v(compute_v_samples(grid, params), grid)
         dL = derivative_samples(kernel_coefficients(ks, params), grid)
-        err = rel(derivative_direct(grid), dL)
+        err = relative_error(derivative_direct(grid), dL)
         _require(err < 1e-10, f"derivative samples off by {err:.2e} at P={P}")
 
 
@@ -196,7 +193,7 @@ def check_dense_solve(kind: int, seed: int):
         grid, params = _small_plan(P, rng)
         plan = build_plan(grid, params)
         rhs = randc(P, rng)
-        err = rel(ge_solve(system(grid, rhs)), solve(plan, rhs))
+        err = relative_error(ge_solve(system(grid), rhs), solve(plan, rhs))
         _require(err < tol, f"type-{kind} solve deviates from dense solve by {err:.2e} at P={P}")
 
 
@@ -211,13 +208,13 @@ def check_uniform_closed_forms():
     err = float(np.abs(plan.coefficients - expected).max())
     _require(err < 1e-12, f"uniform-grid coefficients deviate by {err:.2e}")
     dL_expected = P * np.exp(-2j * np.pi * np.arange(P) / P)
-    err = rel(dL_expected, plan.derivative_samples)
+    err = relative_error(dL_expected, plan.derivative_samples)
     _require(err < 1e-12, f"uniform-grid derivative samples deviate by {err:.2e}")
     s = randc(P, rng)
-    err = rel(np.fft.fft(s) / P, type5(plan, s))
+    err = relative_error(np.fft.fft(s) / P, type5(plan, s))
     _require(err < 1e-12, f"uniform-grid type-5 deviates from forward transform by {err:.2e}")
     A = randc(P, rng)
-    err = rel(np.fft.ifft(A), type4(plan, A))
+    err = relative_error(np.fft.ifft(A), type4(plan, A))
     _require(err < 1e-12, f"uniform-grid type-4 deviates from inverse transform by {err:.2e}")
 
 
@@ -229,8 +226,8 @@ def check_refinement_contraction():
     plan = build_plan(grid, params)
     S_true = randc(P, rng)
     samples = nfft_type2_direct(S_true, grid)
-    e0 = rel(S_true, type5(plan, samples))
-    e1 = rel(S_true, refine_type5(plan, samples, passes=1))
+    e0 = relative_error(S_true, type5(plan, samples))
+    e1 = relative_error(S_true, refine_type5(plan, samples, passes=1))
     _require(e1 < e0, f"refinement did not contract: {e0:.2e} -> {e1:.2e}")
 
 

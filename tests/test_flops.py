@@ -121,8 +121,8 @@ def test_ge_flops_scale_cubically():
     for P in (16, 32):
         grid, _ = generate_trial(P, 3)
         counter, ge_counter = FlopCounter(), FlopCounter()
-        system = type4_system(grid, rng.standard_normal(P) + 0j, flops=counter)
-        ge_solve(system, flops=ge_counter)
+        matrix = type4_system(grid, flops=counter)
+        ge_solve(matrix, rng.standard_normal(P) + 0j, flops=ge_counter)
         counter.merge(ge_counter)
         totals.append(counter.report().total_flops)
         ge_totals.append(ge_counter.report().total_flops)
@@ -196,7 +196,7 @@ PINNED_P16 = [
                  id="refine4-passes2"),
     pytest.param(lambda c: cg_solve(_GRID16, _A16, max_iter=3, flops=c),
                  (224, 3392, 7238, 112, 3360, (32,) * 7), id="cg-3"),
-    pytest.param(lambda c: ge_solve(type4_system(_GRID16, _A16, flops=c), flops=c),
+    pytest.param(lambda c: ge_solve(type4_system(_GRID16, flops=c), _A16, flops=c),
                  (136, 1480, 936, 1616, 256, ()), id="ge"),
 ]
 

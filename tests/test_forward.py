@@ -11,10 +11,11 @@ from nufft1d import (
     nfft_type2,
     nfft_type2_direct,
     nonuniform_conv,
+    relative_error,
     validate_grid,
 )
 from nufft1d.gridding import _SPREAD_BLOCK
-from nufft1d.verify import conv_direct, jittered, randc, rel
+from nufft1d.verify import conv_direct, jittered, randc
 
 
 # --- direct oracles are themselves checked against naive python loops --------
@@ -46,7 +47,7 @@ def test_direct_linearity():
     x, y = randc(9, rng), randc(9, rng)
     lhs = nfft_type1_direct(grid, 2.0 * x - 1j * y, 9)
     rhs = 2.0 * nfft_type1_direct(grid, x, 9) - 1j * nfft_type1_direct(grid, y, 9)
-    assert rel(rhs, lhs) < 1e-13
+    assert relative_error(rhs, lhs) < 1e-13
 
 
 # --- type 1 -------------------------------------------------------------------
@@ -62,14 +63,14 @@ def test_type1_uniform_grid_reduces_to_dft():
     Q = 16
     grid = validate_grid(np.arange(Q) / Q)
     a = randc(Q, rng)
-    assert rel(np.fft.fft(a), nfft_type1(grid, a, Q)) < 1e-13
+    assert relative_error(np.fft.fft(a), nfft_type1(grid, a, Q)) < 1e-13
 
 
 def test_type1_oracle_equivalence():
     rng = np.random.default_rng(4)
     grid = jittered(16, rng)
     a = randc(16, rng)
-    assert rel(nfft_type1_direct(grid, a, 16), nfft_type1(grid, a, 16)) < 1e-12
+    assert relative_error(nfft_type1_direct(grid, a, 16), nfft_type1(grid, a, 16)) < 1e-12
 
 
 @pytest.mark.parametrize("Q,R", [(7, 16), (33, 8), (16, 48), (5, 1)])
@@ -77,7 +78,7 @@ def test_type1_rectangular_sizes(Q, R):
     rng = np.random.default_rng(5)
     grid = validate_grid(np.sort(rng.uniform(0, 1, Q)))
     a = randc(Q, rng)
-    assert rel(nfft_type1_direct(grid, a, R), nfft_type1(grid, a, R)) < 1e-12
+    assert relative_error(nfft_type1_direct(grid, a, R), nfft_type1(grid, a, R)) < 1e-12
 
 
 # --- type 2 -------------------------------------------------------------------
@@ -96,14 +97,14 @@ def test_type2_uniform_grid_reduces_to_idft():
     P = 16
     grid = validate_grid(np.arange(P) / P)
     S = randc(P, rng)
-    assert rel(P * np.fft.ifft(S), nfft_type2(S, grid)) < 1e-13
+    assert relative_error(P * np.fft.ifft(S), nfft_type2(S, grid)) < 1e-13
 
 
 def test_type2_oracle_equivalence():
     rng = np.random.default_rng(8)
     grid = jittered(16, rng)
     S = randc(16, rng)
-    assert rel(nfft_type2_direct(S, grid), nfft_type2(S, grid)) < 1e-12
+    assert relative_error(nfft_type2_direct(S, grid), nfft_type2(S, grid)) < 1e-12
 
 
 @pytest.mark.parametrize("P", [8, 16, 64])
@@ -111,8 +112,8 @@ def test_fast_paths_track_oracles(P):
     rng = np.random.default_rng(9)
     grid = jittered(P, rng)
     a = randc(P, rng)
-    assert rel(nfft_type1_direct(grid, a, P), nfft_type1(grid, a, P)) < 1e-12
-    assert rel(nfft_type2_direct(a, grid), nfft_type2(a, grid)) < 1e-12
+    assert relative_error(nfft_type1_direct(grid, a, P), nfft_type1(grid, a, P)) < 1e-12
+    assert relative_error(nfft_type2_direct(a, grid), nfft_type2(a, grid)) < 1e-12
 
 
 def test_adjoint_consistency():
@@ -144,7 +145,7 @@ def test_conv_sifting_property():
     lam = randc(2 * P, rng)
     out = nonuniform_conv(grid, [1.0], lam, P)
     expected = np.array([np.sum(lam * np.exp(2j * np.pi * np.arange(2 * P) * k / P)) for k in range(P)])
-    assert rel(expected, out) < 1e-12
+    assert relative_error(expected, out) < 1e-12
 
 
 def test_conv_direct_oracle():
@@ -152,7 +153,7 @@ def test_conv_direct_oracle():
     grid = jittered(8, rng)
     a = randc(8, rng)
     lam = randc(16, rng)
-    assert rel(conv_direct(grid, a, lam, 8), nonuniform_conv(grid, a, lam, 8)) < 1e-11
+    assert relative_error(conv_direct(grid, a, lam, 8), nonuniform_conv(grid, a, lam, 8)) < 1e-11
 
 
 def test_conv_size_mismatch():
@@ -204,10 +205,10 @@ def test_conv_linearity():
     lam, mu_ = randc(14, rng), randc(14, rng)
     lhs = nonuniform_conv(grid, a + 3j * b, lam, 7)
     rhs = nonuniform_conv(grid, a, lam, 7) + 3j * nonuniform_conv(grid, b, lam, 7)
-    assert rel(rhs, lhs) < 1e-11
+    assert relative_error(rhs, lhs) < 1e-11
     lhs = nonuniform_conv(grid, a, lam + 2.0 * mu_, 7)
     rhs = nonuniform_conv(grid, a, lam, 7) + 2.0 * nonuniform_conv(grid, a, mu_, 7)
-    assert rel(rhs, lhs) < 1e-11
+    assert relative_error(rhs, lhs) < 1e-11
 
 
 # --- shared spreader on the padded fine grid -----------------------------------
@@ -219,8 +220,8 @@ def test_padded_grid_edges_and_short_fine_grids(R):
     grid = validate_grid([0.0, 0.3, 0.7, np.nextafter(1.0, 0.0)], min_gap=1e-17)
     rng = np.random.default_rng(20 + R)
     a, S = randc(4, rng), randc(R, rng)
-    assert rel(nfft_type1_direct(grid, a, R), nfft_type1(grid, a, R)) < 1e-12
-    assert rel(nfft_type2_direct(S, grid), nfft_type2(S, grid)) < 1e-12
+    assert relative_error(nfft_type1_direct(grid, a, R), nfft_type1(grid, a, R)) < 1e-12
+    assert relative_error(nfft_type2_direct(S, grid), nfft_type2(S, grid)) < 1e-12
 
 
 def test_spreader_shared_across_transforms():

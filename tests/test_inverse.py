@@ -11,7 +11,10 @@ from nufft1d import (
     build_plan,
     ge_solve,
     generate_trial,
+    kernel_for_size,
+    nfft_type1,
     nfft_type1_direct,
+    nfft_type2,
     nfft_type2_direct,
     refine_type4,
     refine_type5,
@@ -22,6 +25,7 @@ from nufft1d import (
     type5_system,
     validate_grid,
 )
+from nufft1d.inverse import _transform_pair
 from nufft1d.verify import derivative_direct, jittered, randc
 
 
@@ -100,7 +104,7 @@ def test_type5_against_dense_solve():
     grid = jittered(P, rng)
     plan = build_plan(grid, std_params(P))
     s = randc(P, rng)
-    want = ge_solve(type5_system(grid, s))
+    want = ge_solve(type5_system(grid), s)
     assert relative_error(want, type5(plan, s)) < 1e-10
 
 
@@ -133,7 +137,7 @@ def test_type4_against_dense_solve():
     grid = jittered(P, rng)
     plan = build_plan(grid, std_params(P))
     A = randc(P, rng)
-    want = ge_solve(type4_system(grid, A))
+    want = ge_solve(type4_system(grid), A)
     assert relative_error(want, type4(plan, A)) < 1e-10
 
 
@@ -208,6 +212,29 @@ def test_refine_zero_passes_is_plain():
     assert np.array_equal(refine_type4(plan, A, passes=0), type4(plan, A))
     s = randc(P, rng)
     assert np.array_equal(refine_type5(plan, s, passes=0), type5(plan, s))
+
+
+@pytest.mark.parametrize("kind, A_type, AH_type", [("type4", 1, 2), ("type5", 2, 1)])
+def test_transform_pair_mapping(kind, A_type, AH_type):
+    # type 4's system matrix is the type-1 transform, type 5's the type-2 one
+    rng = np.random.default_rng(14)
+    P = 32
+    grid = jittered(P, rng)
+    spread = kernel_for_size(P).spreader(grid)
+    transform = {
+        1: lambda x: nfft_type1(grid, x, P, kernel=spread),
+        2: lambda x: nfft_type2(x, grid, kernel=spread),
+    }
+    apply_A, apply_AH = _transform_pair(spread, kind, None)
+    x = randc(P, rng)
+    assert np.array_equal(apply_A(x), transform[A_type](x))
+    assert np.array_equal(apply_AH(x), transform[AH_type](x))
+
+
+def test_transform_pair_rejects_unknown_kind():
+    grid = jittered(8, np.random.default_rng(15))
+    with pytest.raises(ValueError, match="'type3'"):
+        _transform_pair(kernel_for_size(8).spreader(grid), "type3", None)
 
 
 @pytest.fixture

@@ -11,6 +11,7 @@ from nufft1d import (
     derivative_samples,
     kernel_coefficients,
     kernel_samples_from_v,
+    relative_error,
     validate_grid,
 )
 from nufft1d.errors import KernelOverflowError
@@ -19,7 +20,6 @@ from nufft1d.verify import (
     jittered,
     kernel_samples_direct,
     polynomial_coefficients,
-    rel,
     v_direct,
 )
 
@@ -92,7 +92,7 @@ def test_kernel_samples_product_oracle():
     grid = jittered(P, rng)
     params = MethodParams.from_mu(1e-13, P, eta=2)
     ks = kernel_samples_from_v(compute_v_samples(grid, params), grid)
-    assert rel(kernel_samples_direct(grid, params.damping_a), ks) < 1e-11
+    assert relative_error(kernel_samples_direct(grid, params.damping_a), ks) < 1e-11
 
 
 def test_kernel_overflow_guard():
@@ -129,7 +129,7 @@ def test_coefficients_expansion_oracle():
     params = MethodParams.from_mu(1e-11, P, eta=2)
     L = kernel_coefficients(kernel_samples_from_v(compute_v_samples(grid, params), grid), params)
     poly = polynomial_coefficients(grid)
-    assert rel(poly[:P], L) < 1e-10
+    assert relative_error(poly[:P], L) < 1e-10
     assert abs(poly[P] - 1.0) < 1e-12  # leading coefficient is one
 
 
@@ -149,7 +149,7 @@ def test_derivative_uniform_closed_form():
     params = MethodParams.from_mu(1e-14, P, eta=6)
     data = build_plan(grid, params)
     expected = P * np.exp(-2j * np.pi * np.arange(P) / P)
-    assert rel(expected, data.derivative_samples) < 1e-12
+    assert relative_error(expected, data.derivative_samples) < 1e-12
 
 
 def test_derivative_single_node():
@@ -172,9 +172,9 @@ def test_derivative_oracles():
     horner = np.zeros(P, dtype=complex)
     for c in dpoly[::-1]:
         horner = horner * z + c
-    assert rel(horner, data.derivative_samples) < 1e-10
+    assert relative_error(horner, data.derivative_samples) < 1e-10
     # oracle 2: product of root differences (well conditioned at any P)
-    assert rel(derivative_direct(grid), data.derivative_samples) < 1e-10
+    assert relative_error(derivative_direct(grid), data.derivative_samples) < 1e-10
 
 
 def test_singular_derivative_guard(monkeypatch):
@@ -199,12 +199,12 @@ def test_node_order_invariance():
     # grid-indexed outputs permute; regular-grid outputs are order-free
     v1 = compute_v_samples(validate_grid(t), params)
     v2 = compute_v_samples(validate_grid(t[perm]), params)
-    assert rel(v1, v2) < 1e-12
-    assert rel(d1.kernel_samples, d2.kernel_samples) < 1e-12
+    assert relative_error(v1, v2) < 1e-12
+    assert relative_error(d1.kernel_samples, d2.kernel_samples) < 1e-12
     # coefficient recovery amplifies roundoff, so order sensitivity sits at
     # the method's own error level rather than machine precision
-    assert rel(d1.coefficients, d2.coefficients) < 1e-9
-    assert rel(d1.derivative_samples[perm], d2.derivative_samples) < 1e-9
+    assert relative_error(d1.coefficients, d2.coefficients) < 1e-9
+    assert relative_error(d1.derivative_samples[perm], d2.derivative_samples) < 1e-9
 
 
 def test_log_identity_up_to_winding():
@@ -215,7 +215,7 @@ def test_log_identity_up_to_winding():
     params = MethodParams.from_mu(1e-13, P, eta=2)
     v = compute_v_samples(grid, params)
     ks = kernel_samples_from_v(v, grid)
-    assert rel(kernel_samples_direct(grid, params.damping_a), ks) < 1e-10
+    assert relative_error(kernel_samples_direct(grid, params.damping_a), ks) < 1e-10
 
 
 def test_end_to_end_kernel_identity():
@@ -230,4 +230,4 @@ def test_end_to_end_kernel_identity():
         z = np.exp(2j * np.pi * (q / P + 1j * a))
         coeffs_full = np.concatenate((data.coefficients, [1.0]))
         rebuilt = np.array([np.polyval(coeffs_full[::-1], zz) for zz in z])
-        assert rel(rebuilt, data.kernel_samples) < 1e-9
+        assert relative_error(rebuilt, data.kernel_samples) < 1e-9
