@@ -49,7 +49,8 @@ ALL_METHODS = (METHOD_GE, METHOD_CG, METHOD_NFFT, METHOD_RNFFT)
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """One sweep specification. Scalar fields accept tuples to sweep."""
+    """One sweep specification. ``p``, ``eta``, ``mu`` and ``methods`` are each
+    a non-empty sequence of the values to sweep; one value is a 1-tuple."""
 
     p: tuple[int, ...] = (1024,)
     eta: tuple[int, ...] = (1,)
@@ -59,6 +60,10 @@ class TrialConfig:
     methods: tuple[str, ...] = ALL_METHODS
 
     def __post_init__(self):
+        for name in ("p", "eta", "mu", "methods"):
+            values = getattr(self, name)
+            if np.ndim(values) != 1 or len(values) == 0:
+                raise ValueError(f"{name} must be a non-empty sequence, got {values!r}")
         for name, low in (("p", 2), ("eta", 1)):
             for value in getattr(self, name):
                 require_count(value, f"each {name} value", low)
@@ -92,8 +97,7 @@ class TrialResult:
 
 def generate_trial(P: int, seed: int, jitter_max: float = JITTER_MAX):
     """Jittered grid t_p = p/P + U[0, jitter_max/P) and CN(0, 1) amplitudes."""
-    if P < 2:
-        raise ValueError("need P >= 2 for a jittered grid")
+    P = require_count(P, "P", 2)
     rng = np.random.Generator(np.random.Philox(key=seed))
     jitter = rng.uniform(0.0, jitter_max / P, size=P)
     grid = validate_grid(np.arange(P) / P + jitter)

@@ -121,16 +121,14 @@ def _cmd_transform(args) -> int:
         return _fail(exc, EXIT_PARSE)
     data = read_vector_file(args.data)
     Q = grid.size
+    if args.kind != 2 and data.size != Q:
+        raise ValueError(f"data length {data.size} != grid size {Q}")
     if args.kind == 1:
-        if data.size != Q:
-            raise ValueError(f"amplitude count {data.size} != grid size {Q}")
         R = args.p if args.p is not None else Q
         out = nfft_type1(grid, data, R)
     elif args.kind == 2:
         out = nfft_type2(data, grid)
     else:
-        if data.size != Q:
-            raise ValueError(f"data length {data.size} != grid size {Q}")
         solve, forward = _INVERSES[args.kind]
         out = solve(build_plan(grid, _solve_params(args, Q)), data, passes=args.passes or 0)
         if args.check_roundtrip:

@@ -15,7 +15,9 @@ from .errors import (
     OutOfRangeError,
 )
 
-DEFAULT_MIN_GAP = 1e-12
+# Smallest circular gap between instants, fixed as the gridding width is: as two
+# nodes meet, the Lagrange kernel derivative L'(z_p) vanishes and node weights blow up.
+MIN_GAP = 1e-12
 
 
 def require_count(value, name: str, low: int) -> int:
@@ -43,12 +45,38 @@ def as_complex_vector(values, length: int | None = None, name: str = "vector") -
 
 @dataclass(frozen=True)
 class NonuniformGrid:
-    """Sampling instants in [0, 1), pairwise distinct.
+    """Sampling instants in [0, 1), pairwise distinct, in the caller's order.
 
-    ``instants`` keeps the caller's ordering; all transform outputs follow it.
+    ``NonuniformGrid(t)`` keeps a read-only float64 copy of ``t``, so a later
+    edit of the caller's array changes no grid. It raises ``OutOfRangeError``
+    unless ``t`` is a nonempty 1-D sequence of finite instants in [0, 1), and
+    ``DuplicateNodeError`` for a circular gap below ``MIN_GAP``. All transform
+    outputs follow the order of ``instants``.
     """
 
     instants: np.ndarray
+
+    def __post_init__(self):
+        t = np.asarray(self.instants, dtype=np.float64)
+        if t.ndim != 1 or t.size < 1:
+            raise OutOfRangeError("grid must be a nonempty 1-D sequence of instants")
+        if not np.all(np.isfinite(t)):
+            raise OutOfRangeError("grid contains non-finite instants")
+        if np.any(t < 0.0) or np.any(t >= 1.0):
+            bad = t[(t < 0.0) | (t >= 1.0)][0]
+            raise OutOfRangeError(f"instant {bad!r} outside the fundamental period [0, 1)")
+        ts = np.sort(t, kind="stable")
+        gaps = np.empty(t.size)      # one instant's circular gap is the whole period
+        gaps[:-1] = np.diff(ts)
+        gaps[-1] = 1.0 - ts[-1] + ts[0]
+        if gaps.min() < MIN_GAP:
+            i = int(np.argmin(gaps))
+            raise DuplicateNodeError(
+                f"circular gap {gaps[i]:.3e} below floor {MIN_GAP:.3e} near t={ts[i]!r}"
+            )
+        t = t.copy()    # after the checks, so a rejected grid copies nothing
+        t.setflags(write=False)
+        object.__setattr__(self, "instants", t)
 
     @property
     def size(self) -> int:
@@ -63,37 +91,9 @@ class NonuniformGrid:
         return hash((self.size, self.instants.tobytes()))
 
 
-def validate_grid(instants, min_gap: float = DEFAULT_MIN_GAP) -> NonuniformGrid:
-    """Check range and distinctness, returning an immutable grid.
-
-    Rejects instants outside [0, 1) and circular gaps below ``min_gap``;
-    coincident nodes would make the interpolation kernel derivative vanish.
-    Validation is idempotent: a validated grid's instants validate again to
-    an equal grid.
-    """
-    if isinstance(instants, NonuniformGrid):
-        instants = instants.instants
-    t = np.asarray(instants, dtype=np.float64)
-    if t.ndim != 1 or t.size < 1:
-        raise OutOfRangeError("grid must be a nonempty 1-D sequence of instants")
-    if not np.all(np.isfinite(t)):
-        raise OutOfRangeError("grid contains non-finite instants")
-    if np.any(t < 0.0) or np.any(t >= 1.0):
-        bad = t[(t < 0.0) | (t >= 1.0)][0]
-        raise OutOfRangeError(f"instant {bad!r} outside the fundamental period [0, 1)")
-    if t.size > 1:
-        ts = np.sort(t, kind="stable")
-        gaps = np.empty(t.size)
-        gaps[:-1] = np.diff(ts)
-        gaps[-1] = 1.0 - ts[-1] + ts[0]
-        if gaps.min() < min_gap:
-            i = int(np.argmin(gaps))
-            raise DuplicateNodeError(
-                f"circular gap {gaps[i]:.3e} below floor {min_gap:.3e} near t={ts[i]!r}"
-            )
-    t = t.copy()
-    t.setflags(write=False)
-    return NonuniformGrid(instants=t)
+def validate_grid(instants) -> NonuniformGrid:
+    """``instants`` as a checked grid; a grid is returned as it is (it is immutable)."""
+    return instants if isinstance(instants, NonuniformGrid) else NonuniformGrid(instants)
 
 
 def damping_from_mu(mu: float, P: int, eta: int) -> float:

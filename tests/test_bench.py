@@ -37,6 +37,11 @@ def test_generate_trial_deterministic():
     assert np.array_equal(a1, a2)
     g3, _ = generate_trial(64, 12346)
     assert not np.array_equal(g1.instants, g3.instants)
+    # P is an integer count: an integral float gives the same trial, any other value is rejected
+    g4, a4 = generate_trial(64.0, 12345)
+    assert g4.instants.tobytes() == g1.instants.tobytes() and a4.tobytes() == a1.tobytes()
+    with pytest.raises(ValueError, match="P must be an integer"):
+        generate_trial(2.5, 1)
 
 
 def test_jitter_stays_in_band():
@@ -190,6 +195,10 @@ def test_config_rejects_bad_jitter_and_method():
                 dict(mu=(0.0,)), dict(mu=(1e-9, 1.0)), dict(mu=(2.0,))):
         with pytest.raises(ValueError):
             TrialConfig(**bad)
+    # every swept field is a non-empty sequence; the error names it
+    for name, bad in (("p", ()), ("eta", ()), ("mu", ()), ("methods", ()), ("p", 64)):
+        with pytest.raises(ValueError, match=f"^{name} must be a non-empty sequence"):
+            TrialConfig(**{name: bad})
     # each trial's Philox key is seed ^ trial, which must stay below 2**128
     with pytest.raises(ValueError, match="seed"):
         TrialConfig(seed=2**128)

@@ -184,7 +184,7 @@ def test_length_mismatch_exit_code(tmp_path):
     write_grid(grid, [0.0, 0.5])
     data = tmp_path / "data.txt"
     write_vector_file(data, np.ones(3, dtype=complex))
-    for kind in ("1", "4"):
+    for kind in ("1", "4", "5"):
         out = tmp_path / f"o{kind}.txt"
         rc = main(["transform", "--type", kind, "--grid", str(grid),
                    "--data", str(data), "--out", str(out)])

@@ -215,9 +215,13 @@ def test_conv_linearity():
 
 @pytest.mark.parametrize("R", [1, 2, 5, 16])
 def test_padded_grid_edges_and_short_fine_grids(R):
-    # rint(n t) = n at the last instant, the last padded point; for R <= 5 the
-    # fine grid (2R points) is shorter than the 29-tap pulse and wraps repeatedly.
-    grid = validate_grid([0.0, 0.3, 0.7, np.nextafter(1.0, 0.0)], min_gap=1e-17)
+    # rint(n t) = 0 at the first instant and n at the last, the first and last
+    # padded points (both instants 2e-12 from the period edge, above the gap
+    # floor); for R <= 5 the fine grid (2R points) is shorter than the 29-tap
+    # pulse and wraps repeatedly.
+    grid = validate_grid([2e-12, 0.3, 0.7, 1.0 - 2e-12])
+    starts = kernel_for_size(R).spreader(grid).starts
+    assert starts[0] == 0 and starts[-1] == 2 * R
     rng = np.random.default_rng(20 + R)
     a, S = randc(4, rng), randc(R, rng)
     assert relative_error(nfft_type1_direct(grid, a, R), nfft_type1(grid, a, R)) < 1e-12
@@ -255,12 +259,12 @@ def test_scatter_gather_adjoint(R):
     # <scatter(x), y> = <x, gather(y)>: the two sides of one spreader are exact
     # transposes, also where starts repeat and where the fine grid (2R points)
     # is shorter than the 29-tap pulse. Jitter 0.99 puts neighbours near one
-    # fine-grid point, and a node 1e-12 after another shares its start index.
+    # fine-grid point, and a node 2e-12 after another shares its start index.
     rng = np.random.default_rng(23 + R)
     t = jittered(64, rng, 0.99).instants
-    grid = validate_grid(np.sort(np.append(t, t[32] + 1e-12)), min_gap=1e-13)
+    grid = validate_grid(np.sort(np.append(t, t[32] + 2e-12)))
     spread = kernel_for_size(R).spreader(grid)
-    assert np.unique(spread.starts).size < grid.size
+    assert spread.starts[32] == spread.starts[33]
     x, y = randc(grid.size, rng), randc(2 * R, rng)
     lhs, rhs = np.vdot(spread.scatter(x), y), np.vdot(x, spread.gather(y))
     assert abs(lhs - rhs) <= 1e-15 * abs(lhs)
@@ -287,12 +291,12 @@ def _gather_monolithic(spread, y):
 @pytest.mark.parametrize("R", [3, 64, 2 * _SPREAD_BLOCK + 37])
 def test_blocked_spreader_matches_monolithic(R):
     # three blocks, the last one partial, in the caller's unsorted order; the
-    # last node of the first block and the first of the second are 1e-12 apart,
+    # last node of the first block and the first of the second are 2e-12 apart,
     # so one start index straddles the block edge
     rng = np.random.default_rng(25)
     Q = 2 * _SPREAD_BLOCK + 37
     t = rng.permutation(jittered(Q - 1, rng, 0.99).instants)
-    grid = validate_grid(np.insert(t, _SPREAD_BLOCK, t[_SPREAD_BLOCK - 1] + 1e-12), min_gap=1e-13)
+    grid = validate_grid(np.insert(t, _SPREAD_BLOCK, t[_SPREAD_BLOCK - 1] + 2e-12))
     kernel = kernel_for_size(R)
     spread = kernel.spreader(grid)
     assert spread.starts[_SPREAD_BLOCK - 1] == spread.starts[_SPREAD_BLOCK]

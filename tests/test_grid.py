@@ -1,3 +1,4 @@
+import inspect
 import math
 from dataclasses import fields
 
@@ -9,6 +10,7 @@ from nufft1d import (
     LengthMismatchError,
     MethodParams,
     NonPositiveDampingError,
+    NonuniformGrid,
     OutOfRangeError,
     as_complex_vector,
     build_plan,
@@ -19,49 +21,74 @@ from nufft1d import (
     type4,
     validate_grid,
 )
+from nufft1d.grid import MIN_GAP
+
+
+# every grid is checked and copied, whether built by validate_grid or by the type
+BUILDERS = (validate_grid, NonuniformGrid)
 
 
 def test_uniform_grid_validates():
-    grid = validate_grid([0.0, 0.25, 0.5, 0.75])
-    assert grid.size == 4
+    for build in BUILDERS:
+        assert build([0.0, 0.25, 0.5, 0.75]).size == 4
 
 
 def test_coincident_nodes_rejected():
-    with pytest.raises(DuplicateNodeError):
-        validate_grid([0.0, 0.0, 0.5])
+    for build in BUILDERS:
+        with pytest.raises(DuplicateNodeError):
+            build([0.0, 0.0, 0.5])
 
 
 def test_wraparound_gap_checked():
-    # 1-1e-13 is circularly within 1e-13 of 0
-    with pytest.raises(DuplicateNodeError):
-        validate_grid([0.0, 0.5, 1.0 - 1e-13])
+    # 1 - 1e-13 is circularly within 1e-13 of 0
+    for build in BUILDERS:
+        with pytest.raises(DuplicateNodeError):
+            build([0.0, 0.5, 1.0 - 1e-13])
 
 
 def test_out_of_period_rejected():
-    with pytest.raises(OutOfRangeError):
-        validate_grid([0.1, 1.1])
-    with pytest.raises(OutOfRangeError):
-        validate_grid([-0.2, 0.3])
-    with pytest.raises(OutOfRangeError):
-        validate_grid([0.1, float("nan")])
+    # outside [0, 1), non-finite, 2-D and empty input
+    for build in BUILDERS:
+        for bad in ([0.1, 1.1], [-0.2, 0.3], [0.1, float("nan")], [0.1, float("inf")],
+                    [[0.1, 0.2], [0.3, 0.4]], []):
+            with pytest.raises(OutOfRangeError):
+                build(bad)
+
+
+def test_gap_floor_is_fixed():
+    assert MIN_GAP == 1e-12
+    for build in BUILDERS:
+        assert build([0.0, 0.5, 0.5 + 2 * MIN_GAP]).size == 3
+    assert list(inspect.signature(validate_grid).parameters) == ["instants"]
 
 
 def test_validation_idempotent():
     grid = validate_grid([0.9, 0.1, 0.4])
-    again = validate_grid(grid)
+    assert validate_grid(grid) is grid
+    again = NonuniformGrid(grid.instants)
     assert again == grid
     assert np.array_equal(again.instants, grid.instants)
 
 
 def test_caller_order_kept():
-    grid = validate_grid([0.9, 0.1, 0.4])
-    assert np.array_equal(grid.instants, [0.9, 0.1, 0.4])
+    for build in BUILDERS:
+        assert np.array_equal(build([0.9, 0.1, 0.4]).instants, [0.9, 0.1, 0.4])
 
 
 def test_instants_immutable():
-    grid = validate_grid([0.1, 0.6])
-    with pytest.raises(ValueError):
-        grid.instants[0] = 0.3
+    for build in BUILDERS:
+        grid = build([0.1, 0.6])
+        assert grid.instants.dtype == np.float64
+        with pytest.raises(ValueError):
+            grid.instants[0] = 0.3
+
+
+def test_instants_copied_from_caller():
+    for build in BUILDERS:
+        t = np.array([0.1, 0.6])
+        grid = build(t)
+        t[0] = 0.3
+        assert np.array_equal(grid.instants, [0.1, 0.6])
 
 
 def test_damping_round_trip_reference_case():

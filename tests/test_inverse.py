@@ -332,6 +332,23 @@ def test_iid_uniform_nodes_meet_bound_or_raise(seed):
         assert err <= 1e-6, f"{solve.__name__}: relative error {err:.2g}"
 
 
+@pytest.mark.xfail(strict=True, raises=NonConvergenceError,
+                   reason="refinement raises at the roundoff floor, where the residual "
+                          "only jitters from pass to pass")
+def test_many_refinement_passes_on_jittered_grids_converge():
+    # one pass already reaches ~5e-15 here; further passes should leave it there
+    P = 256
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        grid = jittered(P, rng)
+        truth = randc(P, rng)
+        plan = build_plan(grid, MethodParams.from_mu(1e-15, P, eta=2))
+        for refine, data in ((refine_type4, nfft_type1_direct(grid, truth, P)),
+                             (refine_type5, nfft_type2_direct(truth, grid))):
+            err = relative_error(truth, refine(plan, data, passes=6))
+            assert err <= 1e-13, f"seed {seed}, {refine.__name__}: relative error {err:.2g}"
+
+
 def test_refine_rejects_negative_passes():
     rng = np.random.default_rng(12)
     P = 32
