@@ -32,7 +32,6 @@ from .errors import (
     OutOfRangeError,
     SingularDerivativeError,
     SingularMatrixError,
-    SizeMismatchError,
     ZeroReferenceError,
 )
 from .flops import FlopCounter, FlopReport
@@ -78,7 +77,6 @@ __all__ = [
     "OutOfRangeError",
     "SingularDerivativeError",
     "SingularMatrixError",
-    "SizeMismatchError",
     "TrialConfig",
     "TrialResult",
     "ZeroReferenceError",

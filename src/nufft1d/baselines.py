@@ -96,9 +96,9 @@ def cg_solve(
     Each iteration applies the system matrix and its Hermitian transpose,
     one type-1 and one type-2 fast transform, so the per-iteration cost is
     FFT-order; all of them share one spreader of the length-P gridding
-    kernel, built for the call. Stops at relative recurred residual <= tol
-    or at max_iter (default 4P), returning the best iterate with a
-    convergence flag.
+    kernel, built for the call. Stops at relative recurred residual <= tol,
+    at max_iter (default 4P) or when the search direction maps to zero, and
+    returns the last iterate (not the best) with a convergence flag.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .flops import FlopCounter
 from .forward import nfft_type1_direct
-from .grid import MethodParams, require_count, validate_grid
+from .grid import MethodParams, _check_mu, require_count, validate_grid
 from .inverse import build_plan, refine_type4, type4
 
 GE_SIZE_CAP = 8192
@@ -65,12 +65,10 @@ class TrialConfig:
             if np.ndim(values) != 1 or len(values) == 0:
                 raise ValueError(f"{name} must be a non-empty sequence, got {values!r}")
         for name, low in (("p", 2), ("eta", 1)):
-            for value in getattr(self, name):
-                require_count(value, f"each {name} value", low)
+            counts = tuple(require_count(v, f"each {name} value", low) for v in getattr(self, name))
+            object.__setattr__(self, name, counts)
         for mu in self.mu:
-            # mu * (eta P - 1) >= 1 is a per-cell skip in run_sweep, not a config error
-            if not 0.0 < mu < 1.0:
-                raise ValueError(f"mu values must lie in (0, 1), got {mu!r}")
+            _check_mu(mu)   # mu * (eta P - 1) >= 1 is a per-cell skip in run_sweep
         object.__setattr__(self, "trials", require_count(self.trials, "trials", 1))
         seed = require_count(self.seed, "seed", 0)
         if seed >= 2**128:   # each trial's Philox key is seed ^ trial, below 2**128

@@ -1,7 +1,7 @@
 """Command-line front end: file-based transforms, benchmarks, self-checks.
 
-Exit codes: 0 success, 1 failed self-check, 2 parse or usage error,
-3 numeric failure (the offending condition is named on stderr).
+Exit codes: 0 success, 1 failed self-check, 2 invalid input (any ValueError or
+OSError), 3 a failure found computing on valid input; stderr names the condition.
 """
 
 from __future__ import annotations
@@ -114,11 +114,7 @@ def _cmd_transform(args) -> int:
     for dest in ("p", *_INVERSE_OPTIONS):
         if getattr(args, dest) is not None and dest not in _TYPE_OPTIONS[args.kind]:
             raise ValueError(f"--{dest.replace('_', '-')} does not apply to type {args.kind}")
-    try:
-        grid = validate_grid(read_grid_file(args.grid))
-    except NufftError as exc:
-        # an unusable grid file is bad input, not a numeric failure
-        return _fail(exc, EXIT_PARSE)
+    grid = validate_grid(read_grid_file(args.grid))
     data = read_vector_file(args.data)
     Q = grid.size
     if args.kind != 2 and data.size != Q:
@@ -180,10 +176,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except (ValueError, OSError) as exc:    # input errors among NufftErrors are ValueErrors
+        return _fail(exc, EXIT_PARSE)
     except NufftError as exc:
         return _fail(exc, EXIT_NUMERIC)
-    except (ValueError, OSError) as exc:
-        return _fail(exc, EXIT_PARSE)
 
 
 if __name__ == "__main__":

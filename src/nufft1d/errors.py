@@ -1,28 +1,24 @@
-"""Exception and warning types raised by nufft1d."""
+"""Exception and warning types raised by nufft1d; input errors are also ValueErrors."""
 
 
 class NufftError(Exception):
     """Base class for all nufft1d errors."""
 
 
-class OutOfRangeError(NufftError):
+class OutOfRangeError(NufftError, ValueError):
     """A sampling instant lies outside the fundamental period [0, 1)."""
 
 
-class DuplicateNodeError(NufftError):
+class DuplicateNodeError(NufftError, ValueError):
     """Two sampling instants are closer than the distinctness floor."""
 
 
-class NonPositiveDampingError(NufftError):
-    """Requested truncation ratio is too loose to yield a positive damping."""
+class NonPositiveDampingError(NufftError, ValueError):
+    """The truncation ratio mu, the series length eta P or the damping a is out of range."""
 
 
-class LengthMismatchError(NufftError):
-    """Vector operands have incompatible lengths."""
-
-
-class SizeMismatchError(NufftError):
-    """Convolution kernel length is not an integer multiple of the output length."""
+class LengthMismatchError(NufftError, ValueError):
+    """Vector operands or kernels have incompatible lengths."""
 
 
 class KernelOverflowError(NufftError):

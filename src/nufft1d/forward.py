@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SizeMismatchError
+from .errors import LengthMismatchError
 from .flops import FlopCounter, charge
 from .grid import NonuniformGrid, as_complex_vector, require_count
 from .gridding import GriddingKernel, Spreader, kernel_for_size, round_product
@@ -49,7 +49,7 @@ def _gridding_kernel(
     if kernel is None:
         kernel = kernel_for_size(size)
     elif kernel.size != size:
-        raise SizeMismatchError(f"kernel built for size {kernel.size}, transform needs {size}")
+        raise LengthMismatchError(f"kernel built for size {kernel.size}, transform needs {size}")
     Q = grid.size
     charge(
         flops,
@@ -157,7 +157,7 @@ def nonuniform_conv(
     lam = np.asarray(lam_coefficients)
     R = lam.size
     if R % P != 0:
-        raise SizeMismatchError(f"kernel length {R} is not a multiple of output length {P}")
+        raise LengthMismatchError(f"kernel length {R} is not a multiple of output length {P}")
     eta = R // P
     A = nfft_type1(grid, amplitudes, R, kernel=kernel, flops=flops)
     prod = lam * A

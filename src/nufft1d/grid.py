@@ -64,7 +64,7 @@ class NonuniformGrid:
             raise OutOfRangeError("grid contains non-finite instants")
         if np.any(t < 0.0) or np.any(t >= 1.0):
             bad = t[(t < 0.0) | (t >= 1.0)][0]
-            raise OutOfRangeError(f"instant {bad!r} outside the fundamental period [0, 1)")
+            raise OutOfRangeError(f"instant {bad} outside the fundamental period [0, 1)")
         ts = np.sort(t, kind="stable")
         gaps = np.empty(t.size)      # one instant's circular gap is the whole period
         gaps[:-1] = np.diff(ts)
@@ -72,7 +72,7 @@ class NonuniformGrid:
         if gaps.min() < MIN_GAP:
             i = int(np.argmin(gaps))
             raise DuplicateNodeError(
-                f"circular gap {gaps[i]:.3e} below floor {MIN_GAP:.3e} near t={ts[i]!r}"
+                f"circular gap {gaps[i]:.3e} below floor {MIN_GAP:.3e} near t={ts[i]}"
             )
         t = t.copy()    # after the checks, so a rejected grid copies nothing
         t.setflags(write=False)
@@ -96,30 +96,42 @@ def validate_grid(instants) -> NonuniformGrid:
     return instants if isinstance(instants, NonuniformGrid) else NonuniformGrid(instants)
 
 
+def _check_mu(mu) -> None:
+    if not 0.0 < mu < 1.0:
+        raise NonPositiveDampingError(f"truncation ratio mu must lie in (0, 1), got {mu}")
+
+
+def _check_damping(a) -> None:
+    if not (a > 0.0 and math.isfinite(a)):
+        raise NonPositiveDampingError(f"damping_a must be positive and finite, got {a}")
+
+
+def _series_length(eta, P: int) -> int:
+    """eta * P, the length of the truncated log-kernel series, checked to hold a term."""
+    R = require_count(eta, "eta", 1) * P
+    if R < 2:
+        raise NonPositiveDampingError(f"need eta * P >= 2 to define the truncation ratio, got {R}")
+    return R
+
+
 def damping_from_mu(mu: float, P: int, eta: int) -> float:
     """Invert the truncation-ratio relation mu = exp(-2 pi (eta P - 1) a) / (eta P - 1).
 
     Returns the damping a > 0 whose forward evaluation reproduces ``mu``.
     """
-    if not 0.0 < mu < 1.0:
-        raise NonPositiveDampingError(f"truncation ratio must lie in (0, 1), got {mu!r}")
-    n = eta * P - 1
-    if n < 1:
-        raise NonPositiveDampingError("need eta * P >= 2 to define the truncation ratio")
+    _check_mu(mu)
+    n = _series_length(eta, P) - 1
     if mu * n >= 1.0:
         raise NonPositiveDampingError(
-            f"mu * (eta P - 1) = {mu * n!r} >= 1: truncation too loose to need damping"
+            f"mu * (eta P - 1) = {mu * n} >= 1: truncation too loose to need damping"
         )
     return -math.log(mu * n) / (2.0 * math.pi * n)
 
 
 def mu_from_damping(a: float, P: int, eta: int) -> float:
     """Forward truncation ratio for a given damping a."""
-    if a <= 0.0:
-        raise NonPositiveDampingError(f"damping must be positive, got {a!r}")
-    n = eta * P - 1
-    if n < 1:
-        raise NonPositiveDampingError("need eta * P >= 2 to define the truncation ratio")
+    _check_damping(a)
+    n = _series_length(eta, P) - 1
     return math.exp(-2.0 * math.pi * n * a) / n
 
 
@@ -136,10 +148,7 @@ class MethodParams:
     eta: int
 
     def __post_init__(self):
-        if self.damping_a <= 0.0:
-            raise NonPositiveDampingError(f"damping must be positive, got {self.damping_a!r}")
-        if not math.isfinite(self.damping_a):
-            raise ValueError(f"damping_a must be finite, got {self.damping_a!r}")
+        _check_damping(self.damping_a)
         object.__setattr__(self, "eta", require_count(self.eta, "eta", 1))
 
     @classmethod

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import AmplificationWarning, KernelOverflowError, SingularDerivativeError
 from .flops import FlopCounter, charge
 from .forward import nfft_type2, nonuniform_conv
-from .grid import MethodParams, NonuniformGrid, as_complex_vector
+from .grid import MethodParams, NonuniformGrid, _series_length, as_complex_vector
 from .gridding import GriddingKernel, Spreader, sum_cycles
 
 # exp(|Re v|) must stay clear of the double-precision overflow threshold
@@ -56,9 +56,7 @@ def compute_v_samples(
     one ``inverse.build_plan`` grids with.
     """
     P = grid.size
-    R = params.eta * P
-    if R < 2:
-        raise ValueError("need eta * P >= 2 so the truncated series has at least one term")
+    R = _series_length(params.eta, P)
     lam = series_coefficients(params.damping_a, R, flops=flops)
     ones = np.ones(P, dtype=np.complex128)
     return nonuniform_conv(grid, ones, lam, P, kernel=kernel, flops=flops)

@@ -115,6 +115,10 @@ def test_error_consistent_with_reconstruction():
     plan = build_plan(grid, MethodParams.from_mu(1e-11, 16, 2))
     err = relative_error(a_true, type4(plan, spectrum))
     assert abs(err - rows[0].error_linear) / err < 1e-12
+    # integral floats are stored as the checked ints, so the rows carry ints
+    again = run_sweep(TrialConfig(p=(16.0,), eta=(2.0,), mu=(1e-11,), trials=1, seed=3,
+                                  methods=(METHOD_NFFT,)))
+    assert again == rows and type(again[0].p) is int and type(again[0].eta) is int
 
 
 def test_ge_size_cap_enforced():

@@ -192,14 +192,39 @@ def test_length_mismatch_exit_code(tmp_path):
         assert not out.exists()
 
 
-def test_numeric_failure_exit_code(tmp_path, capsys):
-    grid, amps, gpath = write_trial(tmp_path, P=8, seed=2)
-    dpath = tmp_path / "d.txt"
-    write_vector_file(dpath, amps)
-    rc = main(["transform", "--type", "4", "--grid", str(gpath), "--data", str(dpath),
-               "--out", str(tmp_path / "o.txt"), "--mu", "0.9", "--eta", "2"])
-    assert rc == 3
-    assert "NonPositiveDamping" in capsys.readouterr().err
+MU_RULE = "truncation ratio mu must lie in (0, 1)"
+ETA_P_RULE = "need eta * P >= 2 to define the truncation ratio"
+DAMPING_RULE = "damping_a must be positive and finite"
+
+
+@pytest.mark.parametrize("command, nodes, options, message", [
+    ("transform", None, ["--eta", "0"], "eta must be an integer >= 1, got 0"),
+    ("transform", None, ["--eta", "0", "--a", "0.1"], "eta must be an integer >= 1, got 0"),
+    ("transform", None, ["--mu", "2"], f"{MU_RULE}, got 2.0"),
+    ("transform", None, ["--mu", "nan"], f"{MU_RULE}, got nan"),
+    ("transform", None, ["--mu", "0.9"], "mu * (eta P - 1) = 13.5 >= 1"),
+    ("transform", None, ["--a", "nan"], f"{DAMPING_RULE}, got nan"),
+    ("transform", None, ["--a", "-1"], f"{DAMPING_RULE}, got -1.0"),
+    ("transform", [0.5], ["--eta", "1", "--mu", "1e-15"], ETA_P_RULE),
+    ("transform", [0.5], ["--eta", "1", "--a", "0.1"], ETA_P_RULE),
+    ("bench", None, ["--mu", "2"], f"{MU_RULE}, got 2.0"),
+], ids=["eta-0", "eta-0-a", "mu-2", "mu-nan", "mu-infeasible", "a-nan", "a-negative",
+        "one-node-mu", "one-node-a", "bench-mu-2"])
+def test_invalid_input_exit_code(command, nodes, options, message, tmp_path, capsys):
+    # invalid input exits 2 with its rule's one message, whichever option or
+    # subcommand carries it; exit 3 is left to failures found while computing
+    nodes = np.arange(8) / 8 + 0.01 if nodes is None else nodes
+    gpath, dpath, out = tmp_path / "grid.txt", tmp_path / "d.txt", tmp_path / "o.txt"
+    write_grid(gpath, nodes)
+    write_vector_file(dpath, np.ones(len(nodes), dtype=complex))
+    if command == "transform":
+        argv = ["transform", "--type", "4", "--grid", str(gpath), "--data", str(dpath)]
+    else:
+        argv = ["bench", "--figure", "fig6", "--p", "64", "--trials", "1"]
+    assert main([*argv, "--out", str(out), *options]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("kind", ["1", "2"])
@@ -382,7 +407,7 @@ def test_invalid_grid_file_exit_code(tmp_path, capsys):
     rc = main(["transform", "--type", "2", "--grid", str(grid),
                "--data", str(data), "--out", str(tmp_path / "o.txt")])
     assert rc == 2
-    assert "OutOfRange" in capsys.readouterr().err
+    assert "OutOfRangeError: instant 1.5 outside the fundamental" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, status", [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nufft1d import (
-    SizeMismatchError,
+    LengthMismatchError,
     kernel_for_size,
     nfft_type1,
     nfft_type1_direct,
@@ -159,7 +159,7 @@ def test_conv_direct_oracle():
 def test_conv_size_mismatch():
     rng = np.random.default_rng(14)
     grid = jittered(6, rng)
-    with pytest.raises(SizeMismatchError):
+    with pytest.raises(LengthMismatchError):
         nonuniform_conv(grid, randc(6, rng), randc(13, rng), 6)
 
 
@@ -250,7 +250,7 @@ def test_spreader_for_another_grid_rejected():
         nfft_type1(grid, randc(P, rng), P, kernel=spread)
     with pytest.raises(ValueError, match="another grid"):
         nfft_type2(randc(P, rng), grid, kernel=spread)
-    with pytest.raises(SizeMismatchError):
+    with pytest.raises(LengthMismatchError):
         nfft_type1(other, randc(P, rng), 2 * P, kernel=spread)
 
 

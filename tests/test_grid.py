@@ -7,10 +7,12 @@ import pytest
 
 from nufft1d import (
     DuplicateNodeError,
+    KernelOverflowError,
     LengthMismatchError,
     MethodParams,
     NonPositiveDampingError,
     NonuniformGrid,
+    NufftError,
     OutOfRangeError,
     as_complex_vector,
     build_plan,
@@ -37,6 +39,9 @@ def test_coincident_nodes_rejected():
     for build in BUILDERS:
         with pytest.raises(DuplicateNodeError):
             build([0.0, 0.0, 0.5])
+        # the instant prints as a plain float, not as a numpy scalar repr
+        with pytest.raises(DuplicateNodeError, match=r"near t=0\.2$"):
+            build(np.array([0.2, 0.2]))
 
 
 def test_wraparound_gap_checked():
@@ -53,6 +58,8 @@ def test_out_of_period_rejected():
                     [[0.1, 0.2], [0.3, 0.4]], []):
             with pytest.raises(OutOfRangeError):
                 build(bad)
+        with pytest.raises(OutOfRangeError, match=r"^instant -0\.3 outside the fundamental"):
+            build(np.array([0.1, -0.3]))
 
 
 def test_gap_floor_is_fixed():
@@ -89,6 +96,14 @@ def test_instants_copied_from_caller():
         grid = build(t)
         t[0] = 0.3
         assert np.array_equal(grid.instants, [0.1, 0.6])
+
+
+def test_input_errors_are_value_errors():
+    # the CLI exits 2 for any ValueError; these report bad input, not a failed computation
+    for cls in (OutOfRangeError, DuplicateNodeError, LengthMismatchError,
+                NonPositiveDampingError):
+        assert issubclass(cls, ValueError) and issubclass(cls, NufftError)
+    assert not issubclass(KernelOverflowError, ValueError)
 
 
 def test_damping_round_trip_reference_case():

@@ -305,19 +305,28 @@ def test_node_families_against_ground_truth(family, kind):
     assert relative_error(truth, refine(plan, data, passes=1)) <= 1e-12
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="plain solves on i.i.d. uniform nodes return silently wrong answers")
-@pytest.mark.parametrize("seed", [0, 1])
-def test_iid_uniform_nodes_meet_bound_or_raise(seed):
-    # every solve either meets its accuracy or raises; here, cond ~1e17, neither happens
-    P = 1024
-    rng = np.random.default_rng(seed)
+def _iid_uniform(P, rng):
     while True:
         try:
-            grid = validate_grid(np.sort(rng.uniform(0, 1, P)))
-            break
+            return validate_grid(np.sort(rng.uniform(0, 1, P)))
         except DuplicateNodeError:
             pass
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="plain solves on i.i.d. uniform nodes and on gapped grids return "
+                          "silently wrong answers")
+@pytest.mark.parametrize("P, nodes, seed", [
+    (1024, _iid_uniform, 0),
+    (1024, _iid_uniform, 1),
+    # spacing shrunk by 5/P, so the wrap-around gap spans 6 spacings: type 4 reaches
+    # ~4e-7 and GE on type5_system ~2e-8, but plain type 5 errs by ~10 and raises nothing
+    (256, lambda P, rng: (np.arange(P) / P) * (1 - 5 / P) + rng.uniform(0, 0.3 / P, P), 0),
+], ids=["0", "1", "gap-6"])
+def test_iid_uniform_nodes_meet_bound_or_raise(P, nodes, seed):
+    # every solve either meets its accuracy or raises; here (i.i.d. cond ~1e17) neither happens
+    rng = np.random.default_rng(seed)
+    grid = validate_grid(nodes(P, rng))
     truth = randc(P, rng)
     try:
         plan = build_plan(grid, MethodParams.from_mu(1e-15, P, eta=6))
