@@ -64,8 +64,9 @@ class TrialConfig:
             values = getattr(self, name)
             if np.ndim(values) != 1 or len(values) == 0:
                 raise ValueError(f"{name} must be a non-empty sequence, got {values!r}")
-        for name, low in (("p", 2), ("eta", 1)):
-            counts = tuple(require_count(v, f"each {name} value", low) for v in getattr(self, name))
+        # named as generate_trial and MethodParams name them: one wording per rule
+        for name, rule, low in (("p", "P", 2), ("eta", "eta", 1)):
+            counts = tuple(require_count(v, rule, low) for v in getattr(self, name))
             object.__setattr__(self, name, counts)
         for mu in self.mu:
             _check_mu(mu)   # mu * (eta P - 1) >= 1 is a per-cell skip in run_sweep

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import LengthMismatchError
 from .flops import FlopCounter, charge
-from .grid import NonuniformGrid, as_complex_vector, require_count
+from .grid import NonuniformGrid, as_complex_vector, require_count, require_vector
 from .gridding import GriddingKernel, Spreader, kernel_for_size, round_product
 
 _PHASE_BLOCK = 256   # rows per phase block; bounds the (block x cols) temporaries
@@ -144,22 +144,24 @@ def nonuniform_conv(
     amplitudes,
     lam_coefficients,
     P: int,
-    kernel: GriddingKernel | Spreader | None = None,
+    spread: Spreader | None = None,
     flops: FlopCounter | None = None,
 ) -> np.ndarray:
     """Samples of gamma(t) = sum_q a_q lam(t - t_q) on the regular grid {q/P}.
 
     ``lam_coefficients`` holds the R spectral coefficients of the kernel
-    polynomial, R an integer multiple of P. One type-1 transform of length
-    R, an aliasing fold down to length P, and one unnormalized inverse FFT.
+    polynomial, R an integer multiple of P; a real ``lam`` stays real. One
+    type-1 transform of length R, on ``spread`` if given (a length-R
+    spreader for ``grid``), an aliasing fold down to length P, and one
+    unnormalized inverse FFT.
     """
     P = require_count(P, "output length", 1)
-    lam = np.asarray(lam_coefficients)
+    lam = require_vector(lam_coefficients, name="lam_coefficients")
     R = lam.size
     if R % P != 0:
         raise LengthMismatchError(f"kernel length {R} is not a multiple of output length {P}")
     eta = R // P
-    A = nfft_type1(grid, amplitudes, R, kernel=kernel, flops=flops)
+    A = nfft_type1(grid, amplitudes, R, kernel=spread, flops=flops)
     prod = lam * A
     folded = prod.reshape(eta, P).sum(axis=0) if eta > 1 else prod
     real = np.isrealobj(lam)

@@ -31,7 +31,12 @@ def require_count(value, name: str, low: int) -> int:
 
 def as_complex_vector(values, length: int | None = None, name: str = "vector") -> np.ndarray:
     """Coerce to a finite 1-D complex128 array, optionally of fixed length."""
-    arr = np.asarray(values, dtype=np.complex128)
+    return require_vector(np.asarray(values, dtype=np.complex128), length, name)
+
+
+def require_vector(values, length: int | None = None, name: str = "vector") -> np.ndarray:
+    """``values`` as a finite 1-D array of its own dtype, optionally of fixed length."""
+    arr = np.asarray(values)
     if arr.ndim != 1:
         raise LengthMismatchError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
@@ -107,8 +112,9 @@ def _check_damping(a) -> None:
 
 
 def _series_length(eta, P: int) -> int:
-    """eta * P, the length of the truncated log-kernel series, checked to hold a term."""
-    R = require_count(eta, "eta", 1) * P
+    """eta * P for integers eta, P >= 1, the length of the truncated log-kernel
+    series, checked to hold a term."""
+    R = require_count(eta, "eta", 1) * require_count(P, "P", 1)
     if R < 2:
         raise NonPositiveDampingError(f"need eta * P >= 2 to define the truncation ratio, got {R}")
     return R

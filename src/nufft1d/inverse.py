@@ -23,7 +23,7 @@ from .errors import NonConvergenceError
 from .flops import FlopCounter, charge
 from .forward import _idft_unnormalized, nfft_type1, nfft_type2
 from .grid import MethodParams, NonuniformGrid, as_complex_vector, require_count
-from .gridding import GriddingKernel, Spreader, cis_cycles, kernel_for_size, round_product
+from .gridding import GriddingKernel, cis_cycles, kernel_for_size, round_product
 from .lagrange import (
     compute_v_samples,
     derivative_samples,
@@ -44,8 +44,8 @@ class InversePlan:
     h1_coefficients are the exactly band-limited pulse spectrum e^{-2 pi p a}
     (so the solve-side convolution needs no truncation); coef_scale is
     e^{+2 pi p a} / P, the coefficient-recovery weighting. kernel_base is the
-    length-P gridding kernel every solve on this grid uses. All arrays are
-    read-only.
+    length-P gridding kernel, ``kernel_for_size(P)``, from which every solve
+    on this grid builds its spreader. All arrays are read-only.
     """
 
     grid: NonuniformGrid
@@ -71,16 +71,12 @@ def build_plan(
     """Precompute everything grid-dependent for type-4/type-5 solves."""
     P = grid.size
     a = params.damping_a
-    kernel_fine = kernel_for_size(params.eta * P)
-    kernel_base = kernel_for_size(P)
-    fine, base = kernel_fine, kernel_base
-    if kernel_fine is kernel_base:
-        # eta = 1: both stages grid these nodes with one kernel, so build its spreader once
-        fine = base = kernel_base.spreader(grid)
-    v = compute_v_samples(grid, params, kernel=fine, flops=flops)
+    # at eta = 1 both gridded stages are length P, so they share one spreader
+    spread = kernel_for_size(P).spreader(grid) if params.eta == 1 else None
+    v = compute_v_samples(grid, params, spread=spread, flops=flops)
     ks = kernel_samples_from_v(v, grid, flops=flops)
     coeffs = kernel_coefficients(ks, params, flops=flops)
-    dL = derivative_samples(coeffs, grid, kernel=base, flops=flops)
+    dL = derivative_samples(coeffs, grid, spread=spread, flops=flops)
 
     p = np.arange(P)
     decay = np.exp(-2.0 * np.pi * p * a)
@@ -109,7 +105,7 @@ def build_plan(
         node_weights=node_weights,
         h1_coefficients=decay,
         coef_scale=coef_scale,
-        kernel_base=kernel_base,
+        kernel_base=kernel_for_size(P),
     )
 
 
@@ -146,15 +142,16 @@ def _type4(plan: InversePlan, A: np.ndarray, type2, flops) -> np.ndarray:
     return s_nodes * plan.node_weights
 
 
-def _transform_pair(spread: Spreader, kind: str, flops):
+def _transform_pair(grid: NonuniformGrid, kind: str, flops):
     """The system matrix A of a ``kind`` system and its Hermitian transpose, as fast transforms.
 
-    Type 4's A is the type-1 transform and type 5's the type-2 one; both
-    run on ``spread``, so every product shares its spreader.
+    Type 4's A is the type-1 transform and type 5's the type-2 one; both run
+    on one length-P spreader of ``grid``, built here and shared by every product.
     """
     if kind not in ("type4", "type5"):
         raise ValueError(f"unknown system kind {kind!r}")
-    grid, P = spread.grid, spread.kernel.size
+    P = grid.size
+    spread = kernel_for_size(P).spreader(grid)
     type1 = lambda x: nfft_type1(grid, x, P, kernel=spread, flops=flops)
     type2 = lambda y: nfft_type2(y, grid, kernel=spread, flops=flops)
     return (type1, type2) if kind == "type4" else (type2, type1)
@@ -167,7 +164,7 @@ def _refine(plan: InversePlan, data, passes: int, kind: str, flops) -> np.ndarra
     passes = require_count(passes, "refinement passes", 0)
     # every transform of the solve, plain or refined, shares one spreader;
     # each solve applies the transpose of the transform it inverts
-    forward, adjoint = _transform_pair(plan.kernel_base.spreader(plan.grid), kind, flops)
+    forward, adjoint = _transform_pair(plan.grid, kind, flops)
     x = solve(plan, data, adjoint, flops)
     P = plan.size
     prev_norm = None

@@ -5,7 +5,8 @@ L(z) = prod_p (z - e^{2 pi i t_p}) with unit leading coefficient. The
 inversion pipeline needs four derived quantities per grid: the log-sum
 v(q/P), the damped kernel samples L(e^{2 pi i (q/P + i a)}), the
 coefficients L_0..L_{P-1}, and the derivative values L'(e^{2 pi i t_p});
-``inverse.build_plan`` runs the four stages in that order.
+``inverse.build_plan`` runs the four stages in that order, passing the two
+gridded ones one shared ``spread`` (a ``gridding.Spreader``) at eta = 1.
 Everything here is computed through FFT-sized operations; the O(P^2)
 brute-force counterparts live in ``nufft1d.verify`` as oracles.
 """
@@ -20,7 +21,7 @@ from .errors import AmplificationWarning, KernelOverflowError, SingularDerivativ
 from .flops import FlopCounter, charge
 from .forward import nfft_type2, nonuniform_conv
 from .grid import MethodParams, NonuniformGrid, _series_length, as_complex_vector
-from .gridding import GriddingKernel, Spreader, sum_cycles
+from .gridding import Spreader, sum_cycles
 
 # exp(|Re v|) must stay clear of the double-precision overflow threshold
 OVERFLOW_MARGIN = 16.0
@@ -45,21 +46,21 @@ def series_coefficients(damping_a: float, R: int, flops: FlopCounter | None = No
 def compute_v_samples(
     grid: NonuniformGrid,
     params: MethodParams,
-    kernel: GriddingKernel | Spreader | None = None,
+    spread: Spreader | None = None,
     flops: FlopCounter | None = None,
 ) -> np.ndarray:
     """v(q/P) = sum_p log(1 - e^{2 pi i (q/P - t_p + i a)}), via one nonuniform
     convolution of the truncated series against the node delta train.
 
     Truncation error is of order mu per node (the tail of the series past
-    index eta P - 1). ``kernel`` defaults to the length-eta P kernel, the
-    one ``inverse.build_plan`` grids with.
+    index eta P - 1). ``spread``, if given, is a length-eta P spreader for
+    ``grid``; without it the transform builds its own.
     """
     P = grid.size
     R = _series_length(params.eta, P)
     lam = series_coefficients(params.damping_a, R, flops=flops)
     ones = np.ones(P, dtype=np.complex128)
-    return nonuniform_conv(grid, ones, lam, P, kernel=kernel, flops=flops)
+    return nonuniform_conv(grid, ones, lam, P, spread=spread, flops=flops)
 
 
 def kernel_samples_from_v(
@@ -129,13 +130,14 @@ def kernel_coefficients(
 def derivative_samples(
     coefficients,
     grid: NonuniformGrid,
-    kernel: GriddingKernel | Spreader | None = None,
+    spread: Spreader | None = None,
     flops: FlopCounter | None = None,
 ) -> np.ndarray:
     """L'(e^{2 pi i t_p}) by evaluating the differentiated coefficients.
 
     With L_P = 1 known, the derivative's coefficient vector is
-    {(k+1) L_{k+1}} for k = 0..P-1, a type-2 transform away from the nodes.
+    {(k+1) L_{k+1}} for k = 0..P-1, a type-2 transform away from the nodes,
+    on ``spread`` if given (a length-P spreader for ``grid``).
     """
     L = as_complex_vector(coefficients, length=grid.size, name="kernel coefficients")
     P = L.size
@@ -143,7 +145,7 @@ def derivative_samples(
     dcoef[: P - 1] = np.arange(1, P) * L[1:]
     dcoef[P - 1] = P  # P * L_P
     charge(flops, real_muls=2 * P)
-    out = nfft_type2(dcoef, grid, kernel=kernel, flops=flops)
+    out = nfft_type2(dcoef, grid, kernel=spread, flops=flops)
     smallest = float(np.abs(out).min())
     if smallest < DERIVATIVE_FLOOR:
         raise SingularDerivativeError(

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from nufft1d import (
-    GriddingKernel,
     LengthMismatchError,
     SingularMatrixError,
     cg_solve,
@@ -147,16 +146,13 @@ def test_cg_rejects_bad_arguments():
 
 
 @pytest.mark.parametrize("which", ["type4", "type5"])
-def test_cg_builds_one_spreader_per_call(which, monkeypatch):
+def test_cg_builds_one_spreader_per_call(which, geometry_calls):
+    # every product of a call shares one length-P spreader, whatever the iteration count
     grid, a_true = generate_trial(32, 24)
-    calls = []
-    geometry = GriddingKernel.spread_geometry
-
-    def counted(self, instants):
-        calls.append(self.size)
-        return geometry(self, instants)
-
-    monkeypatch.setattr(GriddingKernel, "spread_geometry", counted)
-    res = cg_solve(grid, nfft_type1_direct(grid, a_true, 32), which=which, tol=1e-12)
-    assert res.iterations > 1
-    assert calls == [32]
+    rhs = nfft_type1_direct(grid, a_true, 32)
+    iterations = []
+    for max_iter in (0, 1, 5, None):
+        geometry_calls.clear()
+        iterations.append(cg_solve(grid, rhs, which=which, tol=1e-12, max_iter=max_iter).iterations)
+        assert geometry_calls == [32]
+    assert iterations[:3] == [0, 1, 5] and iterations[3] > 5

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nufft1d import (
+    LengthMismatchError,
     TrialConfig,
     ZeroReferenceError,
     generate_trial,
@@ -75,6 +76,13 @@ def test_relative_error_constructed_perturbation():
 def test_relative_error_zero_reference():
     with pytest.raises(ZeroReferenceError):
         relative_error(np.zeros(3, dtype=complex), np.ones(3, dtype=complex))
+
+
+def test_relative_error_shape_mismatch():
+    with pytest.raises(LengthMismatchError, match=r"shape mismatch: \(3,\) vs \(4,\)"):
+        relative_error(np.ones(3), np.ones(4))
+    with pytest.raises(LengthMismatchError, match="shape mismatch"):
+        relative_error(np.ones(4), np.ones((2, 2)))
 
 
 def test_db_convention():

@@ -208,8 +208,9 @@ DAMPING_RULE = "damping_a must be positive and finite"
     ("transform", [0.5], ["--eta", "1", "--mu", "1e-15"], ETA_P_RULE),
     ("transform", [0.5], ["--eta", "1", "--a", "0.1"], ETA_P_RULE),
     ("bench", None, ["--mu", "2"], f"{MU_RULE}, got 2.0"),
+    ("bench", None, ["--eta", "0"], "eta must be an integer >= 1, got 0"),
 ], ids=["eta-0", "eta-0-a", "mu-2", "mu-nan", "mu-infeasible", "a-nan", "a-negative",
-        "one-node-mu", "one-node-a", "bench-mu-2"])
+        "one-node-mu", "one-node-a", "bench-mu-2", "bench-eta-0"])
 def test_invalid_input_exit_code(command, nodes, options, message, tmp_path, capsys):
     # invalid input exits 2 with its rule's one message, whichever option or
     # subcommand carries it; exit 3 is left to failures found while computing

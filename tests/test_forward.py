@@ -159,8 +159,17 @@ def test_conv_direct_oracle():
 def test_conv_size_mismatch():
     rng = np.random.default_rng(14)
     grid = jittered(6, rng)
+    a = randc(6, rng)
     with pytest.raises(LengthMismatchError):
-        nonuniform_conv(grid, randc(6, rng), randc(13, rng), 6)
+        nonuniform_conv(grid, a, randc(13, rng), 6)
+    # lam is checked as the vectors are: 1-D, nonempty and finite
+    with pytest.raises(LengthMismatchError, match="lam_coefficients must be one-dimensional"):
+        nonuniform_conv(grid, a, randc(12, rng).reshape(2, 6), 6)
+    with pytest.raises(LengthMismatchError, match="lam_coefficients must be nonempty"):
+        nonuniform_conv(grid, a, [], 6)
+    for bad in (np.full(12, np.nan), np.r_[np.ones(11), np.inf]):
+        with pytest.raises(ValueError, match="lam_coefficients contains NaN or Inf"):
+            nonuniform_conv(grid, a, bad, 6)
 
 
 def test_conv_rejects_nonpositive_length():

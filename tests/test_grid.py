@@ -128,6 +128,18 @@ def test_damping_rejects_loose_truncation():
     assert damping_from_mu(0.9, 2, 1) > 0
 
 
+def test_damping_helpers_reject_non_integer_P():
+    # P is checked before eta * P is formed, so 2.5 or nan never yields a damping
+    for P in (2.5, math.nan, 0):
+        with pytest.raises(ValueError, match=f"P must be an integer >= 1, got {P!r}"):
+            damping_from_mu(1e-15, P, 1)
+        with pytest.raises(ValueError, match="P must be an integer"):
+            mu_from_damping(0.1, P, 6)
+        with pytest.raises(ValueError, match="P must be an integer"):
+            MethodParams.from_mu(1e-15, P, 1)
+    assert damping_from_mu(1e-15, 16.0, 1) == damping_from_mu(1e-15, 16, 1)
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_damping_mu_mutual_inverses(seed):
     rng = np.random.default_rng(seed)

@@ -4,7 +4,6 @@ import pytest
 from nufft1d import (
     DuplicateNodeError,
     FlopCounter,
-    GriddingKernel,
     MethodParams,
     NonConvergenceError,
     NufftError,
@@ -225,7 +224,7 @@ def test_transform_pair_mapping(kind, A_type, AH_type):
         1: lambda x: nfft_type1(grid, x, P, kernel=spread),
         2: lambda x: nfft_type2(x, grid, kernel=spread),
     }
-    apply_A, apply_AH = _transform_pair(spread, kind, None)
+    apply_A, apply_AH = _transform_pair(grid, kind, None)
     x = randc(P, rng)
     assert np.array_equal(apply_A(x), transform[A_type](x))
     assert np.array_equal(apply_AH(x), transform[AH_type](x))
@@ -234,21 +233,7 @@ def test_transform_pair_mapping(kind, A_type, AH_type):
 def test_transform_pair_rejects_unknown_kind():
     grid = jittered(8, np.random.default_rng(15))
     with pytest.raises(ValueError, match="'type3'"):
-        _transform_pair(kernel_for_size(8).spreader(grid), "type3", None)
-
-
-@pytest.fixture
-def geometry_calls(monkeypatch):
-    """Kernel sizes of every ``GriddingKernel.spread_geometry`` call, one per spreader."""
-    calls = []
-    geometry = GriddingKernel.spread_geometry
-
-    def counted(self, instants):
-        calls.append(self.size)
-        return geometry(self, instants)
-
-    monkeypatch.setattr(GriddingKernel, "spread_geometry", counted)
-    return calls
+        _transform_pair(grid, "type3", None)
 
 
 @pytest.mark.parametrize("refine", [refine_type4, refine_type5])

@@ -47,7 +47,8 @@ def test_v_against_log_sum():
 
 @pytest.mark.parametrize("eta", [1, 2])
 def test_v_default_kernel_follows_spread_width(eta):
-    # without kernel=, the samples grid with the default length-eta P kernel, as build_plan does
+    # without spread=, the v stage builds its own length-eta P spreader; build_plan
+    # passes its shared length-P one at eta = 1, and the samples are the same bytes
     grid = jittered(64, np.random.default_rng(7))
     params = MethodParams.from_mu(1e-12, 64, eta)
     ks = kernel_samples_from_v(compute_v_samples(grid, params), grid)
