@@ -17,7 +17,7 @@ from .flops import FlopCounter, charge
 from .grid import NonuniformGrid, as_complex_vector, require_count, require_vector
 from .gridding import GriddingKernel, Spreader, kernel_for_size, round_product
 
-_PHASE_BLOCK = 256   # rows per phase block; bounds the (block x cols) temporaries
+_PHASE_BLOCK = 2**16   # entries per phase block, at least one row; bounds its temporaries
 
 
 def _idft_unnormalized(V: np.ndarray) -> np.ndarray:
@@ -34,12 +34,13 @@ def _gridding_kernel(
     """The spreader for a length-``size`` band on ``grid``, with one transform charged.
 
     ``kernel`` is a kernel (None means the default for ``size``), from which
-    a spreader is built for this one transform, or a spreader a caller built
-    for ``grid`` to share between several transforms. The charge is per
-    transform either way, the paper's model: types 1 and 2 are exact
-    transposes, so one charge serves both: the band shift at Q instants,
-    Q * taps pulse samples spread or gathered, one fine-grid FFT and the
-    deconvolution on the band.
+    a streamed spreader is made for this one transform (its phases alone,
+    O(Q); the taps are computed block by block as the transform runs), or a
+    stored spreader a caller built for ``grid`` to share between several
+    transforms. The charge is per transform either way, the paper's model:
+    types 1 and 2 are exact transposes, so one charge serves both: the band
+    shift at Q instants, Q * taps pulse samples spread or gathered, one
+    fine-grid FFT and the deconvolution on the band.
     """
     spread = kernel if isinstance(kernel, Spreader) else None
     if spread is not None:
@@ -59,7 +60,7 @@ def _gridding_kernel(
         real_muls=2 * Q * kernel.taps + 2 * size,   # complex value * real weight, deconvolution
         complex_adds=Q * kernel.taps,               # scatter or gather accumulation
     )
-    return spread if spread is not None else kernel.spreader(grid)
+    return spread if spread is not None else kernel.streamed_spreader(grid)
 
 
 def nfft_type1(
@@ -104,12 +105,16 @@ def nfft_type2(
 def _phase_blocks(rows, cols, sign: int):
     """Yield (row slice, e^{sign 2 pi i r c}) for row blocks of ``rows`` against all ``cols``.
 
-    The signed remainder of r * c mod 1 (``round_product``) is exponentiated
-    as it is, with no second rounding to [0, 1) as in ``cis_cycles``.
+    A block has ``_PHASE_BLOCK // len(cols)`` rows, at least one, so its
+    temporaries stay near ``_PHASE_BLOCK`` entries however long a row is;
+    each entry is the same whatever the blocking. The signed remainder of
+    r * c mod 1 (``round_product``) is exponentiated as it is, with no
+    second rounding to [0, 1) as in ``cis_cycles``.
     """
     r = sign * np.asarray(rows, dtype=np.float64)
-    for lo in range(0, r.size, _PHASE_BLOCK):
-        block = slice(lo, lo + _PHASE_BLOCK)
+    step = max(1, _PHASE_BLOCK // len(cols))
+    for lo in range(0, r.size, step):
+        block = slice(lo, lo + step)
         yield block, np.exp(2j * np.pi * round_product(r[block, None], cols)[1])
 
 

@@ -16,11 +16,16 @@ Spreading works on a padded fine grid of length n + 2m + 1, fine-grid
 point j - m held at padded index j, so no tap index is ever wrapped; the
 padded edges are folded back onto the periodic grid once per transform.
 The taps of instant q are the 2m + 1 consecutive padded points from its
-start index i0, so a ``Spreader`` stores i0 alone, not a table of tap
+start index i0, so a ``Spreader`` needs i0 alone, not a table of tap
 indices (as NFFT3 keeps a compact per-node window; Keiner, Kunis, Potts,
-ACM TOMS 36(4), 2009): start indices, pulse weights and band-shift
-phases, 8 + 8 * taps + 16 = 256 bytes per instant, computed once and
-shared by every transform of a call.
+ACM TOMS 36(4), 2009). A stored spreader keeps start indices, pulse
+weights and band-shift phases, 8 + 8 * taps + 16 = 256 bytes per
+instant, computed once for the transforms that reuse a grid (a plan at
+eta = 1, a solve). A one-off transform streams its taps: its spreader
+keeps the phases alone, 16 bytes per instant, and computes each block's
+start indices and weights as scatter or gather reaches it, as FINUFFT
+evaluates kernel values on the fly and NFFT3 precomputes them only on
+request (``PRE_PSI``).
 
 The build, the scatter and the gather walk the instants in blocks of
 ``_SPREAD_BLOCK`` = 1024, as FINUFFT spreads in cache-sized subproblems
@@ -35,7 +40,7 @@ one more that folds it; ``np.add.at`` adds in index order, as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -47,14 +52,10 @@ _SHAPE_B = SPREAD_WIDTH / (2.0 * np.sqrt(2.0) * np.pi)  # b of exp(-x^2 / 4b), a
 _SPREAD_BLOCK = 1024    # instants per block; bounds the (block x taps) temporaries
 
 
-def _blocks(size: int):
-    """Consecutive slices of ``_SPREAD_BLOCK`` instants covering ``range(size)``."""
-    return (slice(lo, lo + _SPREAD_BLOCK) for lo in range(0, size, _SPREAD_BLOCK))
-
-
 def cis_cycles(cycles) -> np.ndarray:
     """e^{2 pi i c} with c in cycles, reduced mod 1 in the precision of ``cycles``."""
-    frac = np.mod(np.asarray(cycles), 1.0)
+    c = np.asarray(cycles)
+    frac = c - np.floor(c)      # np.mod(c, 1.0) bit for bit, in a third of its time
     return np.exp(2j * np.pi * frac.astype(np.float64, copy=False))
 
 
@@ -121,47 +122,72 @@ class GriddingKernel:
         dist /= -4.0 * _SHAPE_B
         return np.exp(dist, out=dist)
 
+    def streamed_spreader(self, grid: NonuniformGrid) -> "Spreader":
+        """A spreader of ``grid`` keeping only its phases; for one transform, O(Q) memory.
+
+        Its ``scatter`` and ``gather`` compute each block's taps as they reach it.
+        """
+        phase = cis_cycles(round_product(self.band_shift, grid.instants)[1])
+        phase.setflags(write=False)
+        return Spreader(kernel=self, grid=grid, starts=None, pulse=None, phase=phase)
+
     def spreader(self, grid: NonuniformGrid) -> "Spreader":
         """Start indices, pulse weights and band-shift phases of ``grid``, computed once.
 
-        Geometry and weights are computed one block of instants at a time
-        into the preallocated (Q,) starts and (Q, taps) pulse.
+        The streamed spreader's blocks fill the preallocated (Q,) starts and
+        (Q, taps) pulse, so stored and streamed taps are the same bytes.
         """
-        t = grid.instants
-        starts = np.empty(t.size, dtype=np.int64)
-        pulse = np.empty((t.size, self.taps))
-        for block in _blocks(t.size):
-            starts[block], dist = self.spread_geometry(t[block])
-            pulse[block] = self.weights(dist)
-        phase = cis_cycles(round_product(self.band_shift, t)[1])
-        for arr in (starts, pulse, phase):
+        streamed = self.streamed_spreader(grid)
+        starts = np.empty(grid.size, dtype=np.int64)
+        pulse = np.empty((grid.size, self.taps))
+        for block, block_starts, block_pulse in streamed._block_taps():
+            starts[block], pulse[block] = block_starts, block_pulse
+        for arr in (starts, pulse):
             arr.setflags(write=False)
-        return Spreader(kernel=self, grid=grid, starts=starts, pulse=pulse, phase=phase)
+        return replace(streamed, starts=starts, pulse=pulse)
 
 
 @dataclass(frozen=True, eq=False)
 class Spreader:
-    """One grid's gridding data for one kernel, shared by the transforms of a call.
+    """One grid's gridding data for one kernel, for one transform or shared by several.
 
-    ``starts`` (Q,) and ``pulse`` (Q, taps) are the padded fine-grid start
-    indices and pulse weights of ``kernel.spread_geometry`` and
-    ``kernel.weights``; tap j of instant q sits at padded index
-    starts[q] + j. ``phase`` is the band shift e^{+2 pi i K t_q}. Starts and
-    pulse cost 8 + 8 * taps = 240 bytes per instant, 256 with the phase.
-    ``scatter`` and ``gather`` walk the instants in blocks of
-    ``_SPREAD_BLOCK``, so their flat tap indices, complex products and
-    gathered windows are (block, taps), not (Q, taps). ``scatter`` sums with
-    one complex ``np.add.at`` per block, in node order, which adds in index
-    order as ``np.bincount`` does; ``gather`` reads a window view of the
-    padded grid at each start. The arrays are read-only, so a spreader can
-    be shared across threads.
+    ``phase`` is the band shift e^{+2 pi i K t_q}, 16 bytes per instant.
+    Tap j of instant q sits at padded fine-grid index starts[q] + j, with
+    weight pulse[q, j], from ``kernel.spread_geometry`` and
+    ``kernel.weights``. A stored spreader (``GriddingKernel.spreader``)
+    keeps the (Q,) ``starts`` and (Q, taps) ``pulse``, 240 more bytes per
+    instant, for transforms that reuse the grid; a streamed one
+    (``GriddingKernel.streamed_spreader``) has both None and computes a
+    block's starts and weights when ``scatter`` or ``gather`` reaches it.
+    Either way the two walk the instants in blocks of ``_SPREAD_BLOCK``,
+    so their taps, flat tap indices, complex products and gathered windows
+    are (block, taps), not (Q, taps). ``scatter`` sums with one complex
+    ``np.add.at`` per block, in node order, which adds in index order as
+    ``np.bincount`` does; ``gather`` reads a window view of the padded grid
+    at each start. The arrays are read-only, so a spreader can be shared
+    across threads.
     """
 
     kernel: GriddingKernel
     grid: NonuniformGrid
-    starts: np.ndarray
-    pulse: np.ndarray
+    starts: np.ndarray | None
+    pulse: np.ndarray | None
     phase: np.ndarray
+
+    def _block_taps(self):
+        """(slice, start indices, pulse weights) for each block of ``_SPREAD_BLOCK`` instants.
+
+        Slices of the stored arrays, or on a streamed spreader the block's
+        geometry then weights, computed for that block alone.
+        """
+        t = self.grid.instants
+        for lo in range(0, t.size, _SPREAD_BLOCK):
+            block = slice(lo, lo + _SPREAD_BLOCK)
+            if self.pulse is not None:
+                yield block, self.starts[block], self.pulse[block]
+            else:
+                starts, dist = self.kernel.spread_geometry(t[block])
+                yield block, starts, self.kernel.weights(dist)
 
     def scatter(self, values: np.ndarray) -> np.ndarray:
         """Band-shifted values spread onto the periodic fine grid (length n)."""
@@ -169,9 +195,9 @@ class Spreader:
         shifted = values * np.conj(self.phase)
         offsets = np.arange(kernel.taps)
         padded = np.zeros(kernel.fold.size, dtype=np.complex128)
-        for block in _blocks(shifted.size):
-            flat = (self.starts[block, None] + offsets).ravel()
-            np.add.at(padded, flat, (self.pulse[block] * shifted[block, None]).ravel())
+        for block, starts, pulse in self._block_taps():
+            flat = (starts[:, None] + offsets).ravel()
+            np.add.at(padded, flat, (pulse * shifted[block, None]).ravel())
         # folded by index, not by adding slices: for R <= 7 an edge pad (m or
         # m + 1 points) is longer than the fine grid and wraps onto it repeatedly
         fine = np.zeros(kernel.fine_size, dtype=np.complex128)
@@ -187,9 +213,9 @@ class Spreader:
         stride = padded.strides[0]
         windows = np.lib.stride_tricks.as_strided(
             padded, shape=(padded.size - taps + 1, taps), strides=(stride, stride), writeable=False)
-        out = np.empty(self.starts.size, dtype=np.complex128)
-        for block in _blocks(out.size):
-            np.einsum("qj,qj->q", self.pulse[block], windows[self.starts[block]], out=out[block])
+        out = np.empty(self.phase.size, dtype=np.complex128)
+        for block, starts, pulse in self._block_taps():
+            np.einsum("qj,qj->q", pulse, windows[starts], out=out[block])
         out *= self.phase
         return out
 

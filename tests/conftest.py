@@ -5,7 +5,11 @@ from nufft1d import GriddingKernel
 
 @pytest.fixture
 def geometry_calls(monkeypatch):
-    """Kernel sizes of every ``GriddingKernel.spread_geometry`` call, one per spreader."""
+    """Kernel sizes of every ``GriddingKernel.spread_geometry`` call.
+
+    One call per block of ``gridding._SPREAD_BLOCK`` instants: one per stored
+    spreader, or per transform on a streamed one, on a grid of one block.
+    """
     calls = []
     geometry = GriddingKernel.spread_geometry
 

@@ -343,6 +343,64 @@ def test_transform_working_set_with_prebuilt_spreader():
         assert peak <= 3 * 2**20
 
 
+@pytest.mark.parametrize("R", [3, 64, 2 * _SPREAD_BLOCK + 37])
+def test_streamed_taps_match_stored(R):
+    # the grid of test_blocked_spreader_matches_monolithic: three blocks, the
+    # last one partial, unsorted, one start index across a block edge; a
+    # streamed spreader computes each block's taps as the stored build does
+    rng = np.random.default_rng(25)
+    Q = 2 * _SPREAD_BLOCK + 37
+    t = rng.permutation(jittered(Q - 1, rng, 0.99).instants)
+    grid = validate_grid(np.insert(t, _SPREAD_BLOCK, t[_SPREAD_BLOCK - 1] + 2e-12))
+    kernel = kernel_for_size(R)
+    stored, streamed = kernel.spreader(grid), kernel.streamed_spreader(grid)
+    assert streamed.starts is None and streamed.pulse is None
+    assert streamed.phase.tobytes() == stored.phase.tobytes()
+    x, y = randc(Q, rng), randc(2 * R, rng)
+    assert streamed.scatter(x).tobytes() == stored.scatter(x).tobytes()
+    assert streamed.gather(y).tobytes() == stored.gather(y).tobytes()
+    a, S = randc(Q, rng), randc(R, rng)
+    for via in (kernel, stored):
+        assert nfft_type1(grid, a, R, kernel=via).tobytes() == nfft_type1(grid, a, R).tobytes()
+        assert nfft_type2(S, grid, kernel=via).tobytes() == nfft_type2(S, grid).tobytes()
+
+
+def _traced_peak(call):
+    """tracemalloc peak of ``call()``, run once first so that no first-call set-up counts."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_off_transform_working_set():
+    # with no spreader given, a transform streams its taps: it holds the phases,
+    # a few fine-grid-length arrays and one block's temporaries, the bound of
+    # test_transform_working_set_with_prebuilt_spreader, not a (Q, taps) pulse
+    P = 16384
+    rng = np.random.default_rng(26)
+    grid = jittered(P, rng)
+    a, S = randc(P, rng), randc(P, rng)
+    assert _traced_peak(lambda: nfft_type1(grid, a, P)) <= 3 * 2**20
+    assert _traced_peak(lambda: nfft_type2(S, grid)) <= 3 * 2**20
+
+
+def test_direct_oracle_working_set():
+    # a phase block holds about 2^16 entries whatever the row length, so a few
+    # rows of many columns split into blocks: round_product's float64
+    # temporaries of one block come to ~4 MiB (8 rows at once: ~7.5 MiB)
+    P = 16384
+    rng = np.random.default_rng(27)
+    grid = jittered(P, rng)
+    subgrid = validate_grid(grid.instants[::P // 8])
+    a, S = randc(P, rng), randc(P, rng)
+    assert _traced_peak(lambda: nfft_type1_direct(grid, a, 8)) <= 5 * 2**20
+    assert _traced_peak(lambda: nfft_type2_direct(S, subgrid)) <= 5 * 2**20
+
+
 def test_spreader_footprint():
     # start indices, pulse weights and phases only: no (Q, taps) index table
     P = 100

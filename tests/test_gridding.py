@@ -72,6 +72,20 @@ def test_cis_cycles_keeps_input_precision():
     assert np.array_equal(cis_cycles(grid.instants), oracle(grid.instants))
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_cis_cycles_reduces_as_mod(dtype):
+    # c - floor(c) is np.mod(c, 1.0) bit for bit: an integer c (-0.0 included)
+    # gives +0.0, and a tiny negative c rounds up to 1.0
+    rng = np.random.default_rng(8)
+    edges = [-0.0, 0.0, 5e-324, -5e-324, 0.5, -0.5, 1.0, -1.0, 2.0**53,
+             -2.0**52 - 0.5, np.nextafter(-1.0, 0.0)]
+    c = np.concatenate([np.array(edges, dtype=dtype),
+                        rng.uniform(-0.5, 0.5, 1000).astype(dtype),
+                        rng.uniform(-1e6, 1e6, 1000).astype(dtype) / dtype(3)])
+    want = np.exp(2j * np.pi * np.mod(c, 1.0).astype(np.float64))
+    assert cis_cycles(c).tobytes() == want.tobytes()
+
+
 def _outputs():
     grid, a = nf.generate_trial(256, 6)
     params = nf.MethodParams.from_mu(1e-15, 256, 6)
