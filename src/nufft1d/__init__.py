@@ -40,24 +40,16 @@ from .forward import (
     nfft_type1_direct,
     nfft_type2,
     nfft_type2_direct,
-    nonuniform_conv,
 )
 from .grid import (
     MethodParams,
     NonuniformGrid,
-    as_complex_vector,
     damping_from_mu,
     mu_from_damping,
     validate_grid,
 )
-from .gridding import GriddingKernel, kernel_for_size
+from .gridding import kernel_for_size
 from .inverse import InversePlan, build_plan, refine_type4, refine_type5, type4, type5
-from .lagrange import (
-    compute_v_samples,
-    derivative_samples,
-    kernel_coefficients,
-    kernel_samples_from_v,
-)
 
 __all__ = [
     "AmplificationWarning",
@@ -65,7 +57,6 @@ __all__ = [
     "DuplicateNodeError",
     "FlopCounter",
     "FlopReport",
-    "GriddingKernel",
     "InversePlan",
     "KernelOverflowError",
     "LengthMismatchError",
@@ -80,23 +71,17 @@ __all__ = [
     "TrialConfig",
     "TrialResult",
     "ZeroReferenceError",
-    "as_complex_vector",
     "build_plan",
     "cg_solve",
-    "compute_v_samples",
     "damping_from_mu",
-    "derivative_samples",
     "generate_trial",
     "ge_solve",
-    "kernel_coefficients",
     "kernel_for_size",
-    "kernel_samples_from_v",
     "mu_from_damping",
     "nfft_type1",
     "nfft_type1_direct",
     "nfft_type2",
     "nfft_type2_direct",
-    "nonuniform_conv",
     "refine_type4",
     "refine_type5",
     "relative_error",

@@ -50,7 +50,8 @@ ALL_METHODS = (METHOD_GE, METHOD_CG, METHOD_NFFT, METHOD_RNFFT)
 @dataclass(frozen=True)
 class TrialConfig:
     """One sweep specification. ``p``, ``eta``, ``mu`` and ``methods`` are each
-    a non-empty sequence of the values to sweep; one value is a 1-tuple."""
+    a non-empty sequence of the values to sweep; one value is a 1-tuple. Each
+    is stored as a tuple, so configs compare and hash by value."""
 
     p: tuple[int, ...] = (1024,)
     eta: tuple[int, ...] = (1,)
@@ -70,6 +71,7 @@ class TrialConfig:
             object.__setattr__(self, name, counts)
         for mu in self.mu:
             _check_mu(mu)   # mu * (eta P - 1) >= 1 is a per-cell skip in run_sweep
+        object.__setattr__(self, "mu", tuple(float(mu) for mu in self.mu))
         object.__setattr__(self, "trials", require_count(self.trials, "trials", 1))
         seed = require_count(self.seed, "seed", 0)
         if seed >= 2**128:   # each trial's Philox key is seed ^ trial, below 2**128
@@ -78,6 +80,7 @@ class TrialConfig:
         for m in self.methods:
             if m not in ALL_METHODS:
                 raise ValueError(f"unknown method {m!r}")
+        object.__setattr__(self, "methods", tuple(str(m) for m in self.methods))
 
 
 @dataclass(frozen=True)

@@ -143,7 +143,7 @@ def _cmd_bench(args) -> int:
         if (v := getattr(args, f.name)) is None:
             continue
         try:
-            config = replace(config, **{f.name: tuple(v) if isinstance(v, list) else v})
+            config = replace(config, **{f.name: v})
         except ValueError as exc:
             option = "--method" if f.name == "methods" else f"--{f.name}"
             raise ValueError(f"{option}: {exc}") from None

@@ -54,15 +54,18 @@ class NonuniformGrid:
 
     ``NonuniformGrid(t)`` keeps a read-only float64 copy of ``t``, so a later
     edit of the caller's array changes no grid. It raises ``OutOfRangeError``
-    unless ``t`` is a nonempty 1-D sequence of finite instants in [0, 1), and
-    ``DuplicateNodeError`` for a circular gap below ``MIN_GAP``. All transform
-    outputs follow the order of ``instants``.
+    unless ``t`` is a nonempty 1-D sequence of real, finite instants in
+    [0, 1), and ``DuplicateNodeError`` for a circular gap below ``MIN_GAP``.
+    All transform outputs follow the order of ``instants``.
     """
 
     instants: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.instants, dtype=np.float64)
+        t = np.asarray(self.instants)
+        if np.iscomplexobj(t):  # the float64 cast would drop the imaginary parts
+            raise OutOfRangeError(f"grid instants must be real, got dtype {t.dtype}")
+        t = t.astype(np.float64, copy=False)
         if t.ndim != 1 or t.size < 1:
             raise OutOfRangeError("grid must be a nonempty 1-D sequence of instants")
         if not np.all(np.isfinite(t)):

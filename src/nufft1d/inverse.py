@@ -45,7 +45,7 @@ class InversePlan:
     (so the solve-side convolution needs no truncation); coef_scale is
     e^{+2 pi p a} / P, the coefficient-recovery weighting. kernel_base is the
     length-P gridding kernel, ``kernel_for_size(P)``, from which every solve
-    on this grid builds its spreader. All arrays are read-only.
+    on this grid builds or streams its spreader. All arrays are read-only.
     """
 
     grid: NonuniformGrid
@@ -142,16 +142,18 @@ def _type4(plan: InversePlan, A: np.ndarray, type2, flops) -> np.ndarray:
     return s_nodes * plan.node_weights
 
 
-def _transform_pair(grid: NonuniformGrid, kind: str, flops):
+def _transform_pair(grid: NonuniformGrid, kind: str, flops, store: bool = True):
     """The system matrix A of a ``kind`` system and its Hermitian transpose, as fast transforms.
 
-    Type 4's A is the type-1 transform and type 5's the type-2 one; both run
-    on one length-P spreader of ``grid``, built here and shared by every product.
+    Type 4's A is the type-1 transform and type 5's the type-2 one, both of
+    length P. Store when the call makes more than one transform: then one
+    spreader of ``grid`` is built here and shared by every product. A call
+    that makes one transform passes ``store=False``, and it streams its taps.
     """
     if kind not in ("type4", "type5"):
         raise ValueError(f"unknown system kind {kind!r}")
     P = grid.size
-    spread = kernel_for_size(P).spreader(grid)
+    spread = kernel_for_size(P).spreader(grid) if store else None
     type1 = lambda x: nfft_type1(grid, x, P, kernel=spread, flops=flops)
     type2 = lambda y: nfft_type2(y, grid, kernel=spread, flops=flops)
     return (type1, type2) if kind == "type4" else (type2, type1)
@@ -162,9 +164,9 @@ def _refine(plan: InversePlan, data, passes: int, kind: str, flops) -> np.ndarra
     name, solve = ("spectrum", _type4) if kind == "type4" else ("samples", _type5)
     data = as_complex_vector(data, length=plan.size, name=name)
     passes = require_count(passes, "refinement passes", 0)
-    # every transform of the solve, plain or refined, shares one spreader;
-    # each solve applies the transpose of the transform it inverts
-    forward, adjoint = _transform_pair(plan.grid, kind, flops)
+    # only a refined solve makes more than one transform; each solve applies
+    # the transpose of the transform it inverts
+    forward, adjoint = _transform_pair(plan.grid, kind, flops, store=passes > 0)
     x = solve(plan, data, adjoint, flops)
     P = plan.size
     prev_norm = None

@@ -1,6 +1,6 @@
 import pytest
 
-from nufft1d import GriddingKernel
+from nufft1d.gridding import GriddingKernel
 
 
 @pytest.fixture

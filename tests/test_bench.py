@@ -217,6 +217,19 @@ def test_config_rejects_bad_jitter_and_method():
     assert TrialConfig(seed=2**128 - 1).seed == 2**128 - 1
 
 
+def test_config_stores_tuples():
+    # every swept field is kept as a tuple, so configs compare and hash by value
+    cfg = TrialConfig(p=[32], eta=np.array([1, 2]), mu=np.array([1e-9, 1e-8]),
+                      methods=np.array([METHOD_GE, METHOD_CG]))
+    same = TrialConfig(p=(32,), eta=(1, 2), mu=(1e-9, 1e-8), methods=(METHOD_GE, METHOD_CG))
+    assert cfg == same and hash(cfg) == hash(same)
+    assert all(type(v) is float for v in cfg.mu)
+    assert all(type(m) is str for m in cfg.methods)
+    # mu is checked before the float conversion, so a string is still rejected
+    with pytest.raises(TypeError):
+        TrialConfig(mu=("1e-9",))
+
+
 def test_figure_protocol_defaults():
     from nufft1d.bench import FIGURE_DEFAULTS
 

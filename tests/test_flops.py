@@ -11,13 +11,13 @@ from nufft1d import (
     generate_trial,
     nfft_type1,
     nfft_type2,
-    nonuniform_conv,
     refine_type4,
     type4,
     type4_system,
     type5,
 )
 from nufft1d.flops import charge, fft_flops
+from nufft1d.forward import nonuniform_conv
 
 
 def charged(**kwargs):

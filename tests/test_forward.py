@@ -5,15 +5,19 @@ import pytest
 
 from nufft1d import (
     LengthMismatchError,
+    MethodParams,
+    build_plan,
     kernel_for_size,
     nfft_type1,
     nfft_type1_direct,
     nfft_type2,
     nfft_type2_direct,
-    nonuniform_conv,
     relative_error,
+    type4,
+    type5,
     validate_grid,
 )
+from nufft1d.forward import nonuniform_conv
 from nufft1d.gridding import _SPREAD_BLOCK
 from nufft1d.verify import conv_direct, jittered, randc
 
@@ -386,6 +390,18 @@ def test_one_off_transform_working_set():
     a, S = randc(P, rng), randc(P, rng)
     assert _traced_peak(lambda: nfft_type1(grid, a, P)) <= 3 * 2**20
     assert _traced_peak(lambda: nfft_type2(S, grid)) <= 3 * 2**20
+
+
+def test_plain_solve_working_set():
+    # a plain solve makes one transform, so it streams its taps too: it holds
+    # the solve's length-P vectors and one block's temporaries, not a stored
+    # spreader's 256 bytes per instant (4 MiB at this P)
+    P = 16384
+    rng = np.random.default_rng(28)
+    plan = build_plan(jittered(P, rng), MethodParams.from_mu(1e-15, P, 6))
+    A, s = randc(P, rng), randc(P, rng)
+    assert _traced_peak(lambda: type4(plan, A)) <= 3.5 * 2**20
+    assert _traced_peak(lambda: type5(plan, s)) <= 3.5 * 2**20
 
 
 def test_direct_oracle_working_set():

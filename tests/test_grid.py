@@ -14,7 +14,6 @@ from nufft1d import (
     NonuniformGrid,
     NufftError,
     OutOfRangeError,
-    as_complex_vector,
     build_plan,
     damping_from_mu,
     mu_from_damping,
@@ -23,7 +22,7 @@ from nufft1d import (
     type4,
     validate_grid,
 )
-from nufft1d.grid import MIN_GAP
+from nufft1d.grid import MIN_GAP, as_complex_vector
 
 
 # every grid is checked and copied, whether built by validate_grid or by the type
@@ -60,6 +59,16 @@ def test_out_of_period_rejected():
                 build(bad)
         with pytest.raises(OutOfRangeError, match=r"^instant -0\.3 outside the fundamental"):
             build(np.array([0.1, -0.3]))
+
+
+def test_complex_instants_rejected():
+    # the float64 cast would keep the real parts and answer for other instants;
+    # a complex array is rejected even when its imaginary parts are all zero
+    for build in BUILDERS:
+        for bad in (np.array([0.1 + 0.5j, 0.3]), np.array([0.1, 0.3], dtype=complex),
+                    [0.1, 0.3 + 0j]):
+            with pytest.raises(OutOfRangeError, match=r"^grid instants must be real"):
+                build(bad)
 
 
 def test_gap_floor_is_fixed():

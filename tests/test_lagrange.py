@@ -7,14 +7,16 @@ from nufft1d import (
     MethodParams,
     SingularDerivativeError,
     build_plan,
-    compute_v_samples,
-    derivative_samples,
-    kernel_coefficients,
-    kernel_samples_from_v,
     relative_error,
     validate_grid,
 )
 from nufft1d.errors import KernelOverflowError
+from nufft1d.lagrange import (
+    compute_v_samples,
+    derivative_samples,
+    kernel_coefficients,
+    kernel_samples_from_v,
+)
 from nufft1d.verify import (
     derivative_direct,
     jittered,
