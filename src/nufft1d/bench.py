@@ -30,7 +30,7 @@ from .errors import (
 from .flops import FlopCounter
 from .forward import nfft_type1_direct
 from .grid import MethodParams, _check_mu, require_count, validate_grid
-from .inverse import build_plan, refine_type4, type4
+from .inverse import build_plan, refine_type4
 
 GE_SIZE_CAP = 8192
 
@@ -130,8 +130,8 @@ def run_sweep(config: TrialConfig) -> list[TrialResult]:
 
     Every trial draws its grid with jitter JITTER_MAX. GE and CG are
     parameter-free and run once per trial; the fast methods run once per
-    (eta, mu) pair, sharing one plan between the plain solve and the
-    refined one (one refinement pass). Infeasible (mu, eta) pairs
+    (eta, mu) pair and share one plan: NFFT is ``refine_type4`` with no
+    refinement pass and R-NFFT with one. Infeasible (mu, eta) pairs
     (truncation too loose to need damping) are skipped. Deliberately
     over-damped corners would also spam amplification warnings, so those
     are suppressed here.
@@ -139,7 +139,8 @@ def run_sweep(config: TrialConfig) -> list[TrialResult]:
     results: list[TrialResult] = []
     if METHOD_GE in config.methods and max(config.p) > GE_SIZE_CAP:
         raise ValueError(f"GE requested above the P = {GE_SIZE_CAP} dense-solver cap")
-    fast = [m for m in (METHOD_NFFT, METHOD_RNFFT) if m in config.methods]
+    fast = [(m, passes) for m, passes in ((METHOD_NFFT, 0), (METHOD_RNFFT, 1))
+            if m in config.methods]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AmplificationWarning)
         for P in config.p:
@@ -175,45 +176,26 @@ def run_sweep(config: TrialConfig) -> list[TrialResult]:
                             continue
                         plan_counter = FlopCounter()
                         plan = build_plan(grid, params, flops=plan_counter)
-                        if METHOD_NFFT in config.methods:
+                        for method, passes in fast:
                             counter = FlopCounter()
                             counter.merge(plan_counter)
-                            x = type4(plan, spectrum, flops=counter)
-                            record(METHOD_NFFT, x, counter, eta, mu)
-                        if METHOD_RNFFT in config.methods:
-                            counter = FlopCounter()
-                            counter.merge(plan_counter)
-                            x = refine_type4(plan, spectrum, flops=counter)
-                            record(METHOD_RNFFT, x, counter, eta, mu)
+                            x = refine_type4(plan, spectrum, passes=passes, flops=counter)
+                            record(method, x, counter, eta, mu)
     return results
 
 
-def best_mu(results: list[TrialResult], method: str) -> dict[tuple[int, int], float]:
-    """Per-(P, eta) mu minimizing the mean error over trials (sweep protocol)."""
-    sums: dict[tuple[int, int, float], list[float]] = {}
-    for r in results:
-        if r.method != method or r.mu is None:
-            continue
-        sums.setdefault((r.p, r.eta, r.mu), []).append(r.error_linear)
-    winners: dict[tuple[int, int], tuple[float, float]] = {}
-    for (p, eta, mu), errs in sums.items():
-        mean = sum(errs) / len(errs)
-        cur = winners.get((p, eta))
-        if cur is None or mean < cur[0]:
-            winners[(p, eta)] = (mean, mu)
-    return {key: mu for key, (_, mu) in winners.items()}
-
-
 def filter_best_mu(results: list[TrialResult], method: str) -> list[TrialResult]:
-    """Keep dense-solver rows plus the best-mu rows of ``method``."""
-    winners = best_mu(results, method)
-    kept = []
+    """Keep dense-solver rows plus, per (P, eta), the rows of ``method`` at the mu
+    with the smallest mean error over trials (sweep protocol); a tie keeps the
+    first mu in row order."""
+    errors: dict[tuple[int, int], dict[float, list[float]]] = {}
     for r in results:
-        if r.mu is None:
-            kept.append(r)
-        elif r.method == method and winners.get((r.p, r.eta)) == r.mu:
-            kept.append(r)
-    return kept
+        if r.method == method and r.mu is not None:
+            errors.setdefault((r.p, r.eta), {}).setdefault(r.mu, []).append(r.error_linear)
+    best = {cell: min(by_mu, key=lambda mu: sum(by_mu[mu]) / len(by_mu[mu]))
+            for cell, by_mu in errors.items()}
+    return [r for r in results
+            if r.mu is None or (r.method == method and best.get((r.p, r.eta)) == r.mu)]
 
 
 # Figure protocols. fig1: error floor vs mu for several eta at P = 1024;

@@ -105,13 +105,13 @@ def validate_grid(instants) -> NonuniformGrid:
 
 
 def _check_mu(mu) -> None:
-    if not 0.0 < mu < 1.0:
-        raise NonPositiveDampingError(f"truncation ratio mu must lie in (0, 1), got {mu}")
+    if not (isinstance(mu, numbers.Real) and 0.0 < mu < 1.0):
+        raise NonPositiveDampingError(f"truncation ratio mu must lie in (0, 1), got {mu!r}")
 
 
 def _check_damping(a) -> None:
-    if not (a > 0.0 and math.isfinite(a)):
-        raise NonPositiveDampingError(f"damping_a must be positive and finite, got {a}")
+    if not (isinstance(a, numbers.Real) and a > 0.0 and math.isfinite(a)):
+        raise NonPositiveDampingError(f"damping_a must be positive and finite, got {a!r}")
 
 
 def _series_length(eta, P: int) -> int:

@@ -1,18 +1,25 @@
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 from nufft1d import (
+    FlopCounter,
     LengthMismatchError,
+    MethodParams,
+    NonPositiveDampingError,
     TrialConfig,
     ZeroReferenceError,
+    build_plan,
     generate_trial,
     nfft_type1_direct,
+    refine_type4,
     relative_error,
     run_figure,
     run_sweep,
+    type4,
 )
 from nufft1d.bench import (
     FIGURE_DEFAULTS,
@@ -20,7 +27,7 @@ from nufft1d.bench import (
     METHOD_GE,
     METHOD_NFFT,
     METHOD_RNFFT,
-    best_mu,
+    TrialResult,
     filter_best_mu,
     to_db,
 )
@@ -113,20 +120,51 @@ def test_run_sweep_structure_and_determinism():
 
 
 def test_error_consistent_with_reconstruction():
-    # recompute one sweep cell by hand from the same seed
+    # recompute both fast rows of one sweep cell by hand from the same seed: one
+    # plan, whose flops each row's counter starts from, then type4 for NFFT and
+    # one refinement pass for R-NFFT, to the last bit and the last flop
+    both = (METHOD_NFFT, METHOD_RNFFT)
     rows = run_sweep(TrialConfig(p=(16,), eta=(2,), mu=(1e-11,), trials=1, seed=3,
-                                 methods=(METHOD_NFFT,)))
-    assert len(rows) == 1
-    from nufft1d import MethodParams, build_plan, type4
+                                 methods=both))
+    assert [r.method for r in rows] == list(both)
     grid, a_true = generate_trial(16, 3)
     spectrum = nfft_type1_direct(grid, a_true, 16)
-    plan = build_plan(grid, MethodParams.from_mu(1e-11, 16, 2))
-    err = relative_error(a_true, type4(plan, spectrum))
-    assert abs(err - rows[0].error_linear) / err < 1e-12
+    plan_counter = FlopCounter()
+    plan = build_plan(grid, MethodParams.from_mu(1e-11, 16, 2), flops=plan_counter)
+    for row, solve in zip(rows, (type4, partial(refine_type4, passes=1))):
+        counter = FlopCounter()
+        counter.merge(plan_counter)
+        assert relative_error(a_true, solve(plan, spectrum, flops=counter)) == row.error_linear
+        assert counter.report().total_flops == row.total_flops
     # integral floats are stored as the checked ints, so the rows carry ints
     again = run_sweep(TrialConfig(p=(16.0,), eta=(2.0,), mu=(1e-11,), trials=1, seed=3,
-                                  methods=(METHOD_NFFT,)))
+                                  methods=both))
     assert again == rows and type(again[0].p) is int and type(again[0].eta) is int
+
+
+def test_fast_rows_share_one_plan(monkeypatch):
+    # NFFT and R-NFFT solve on one plan per feasible (eta, mu) cell and trial; at
+    # P = 32, mu * (eta P - 1) >= 1 skips mu 0.5 at both etas and mu 0.02 at eta 2
+    import nufft1d.bench as bench
+
+    calls = []
+    real = bench.build_plan
+
+    def counted(grid, params, **kwargs):
+        calls.append(params)
+        return real(grid, params, **kwargs)
+
+    monkeypatch.setattr(bench, "build_plan", counted)
+    cfg = TrialConfig(p=(32,), eta=(1, 2), mu=(0.5, 0.02, 1e-10), trials=2, seed=5,
+                      methods=(METHOD_CG, METHOD_NFFT, METHOD_RNFFT))
+    rows = run_sweep(cfg)
+    cells = {(r.eta, r.mu) for r in rows if r.mu is not None}
+    assert cells == {(1, 0.02), (1, 1e-10), (2, 1e-10)}
+    assert len(calls) == len(cells) * cfg.trials
+    assert sum(r.mu is not None for r in rows) == 2 * len(calls)
+    calls.clear()
+    run_sweep(replace(cfg, methods=(METHOD_GE, METHOD_CG)))
+    assert calls == []
 
 
 def test_ge_size_cap_enforced():
@@ -155,14 +193,29 @@ def test_ge_cg_error_agreement():
         assert abs(ge[trial] - cg[trial]) <= 5.0
 
 
+def _row(method, mu, error, p=64, eta=1, trial=0):
+    return TrialResult(p=p, eta=None if mu is None else eta, mu=mu, method=method,
+                       trial=trial, error_linear=error, error_db=to_db(error),
+                       total_flops=1, cg_iterations=None, seed=trial)
+
+
 def test_best_mu_selection():
-    rows = run_sweep(TrialConfig(p=(64,), eta=(1,), mu=(1e-13, 1e-9, 1e-5), trials=2,
-                                 seed=11, methods=(METHOD_RNFFT,)))
-    winners = best_mu(rows, METHOD_RNFFT)
-    assert (64, 1) in winners
+    # per (P, eta), the mu with the smallest mean error over trials keeps its rows,
+    # not the one with the smallest single error; a tie keeps the first mu in row
+    # order; dense-solver rows stay and other fast methods' rows go
+    rows = [
+        _row(METHOD_GE, None, 1e-14),
+        _row(METHOD_RNFFT, 1e-13, 1e-12, trial=0), _row(METHOD_RNFFT, 1e-13, 5e-10, trial=1),
+        _row(METHOD_RNFFT, 1e-9, 2e-10, trial=0), _row(METHOD_RNFFT, 1e-9, 2e-10, trial=1),
+        _row(METHOD_NFFT, 1e-9, 1e-16),
+        _row(METHOD_RNFFT, 1e-9, 0.25, eta=2), _row(METHOD_RNFFT, 1e-13, 0.5, eta=2),
+        _row(METHOD_RNFFT, 1e-9, 0.75, eta=2, trial=1),
+        _row(METHOD_RNFFT, 1e-13, 0.5, eta=2, trial=1),
+        _row(METHOD_RNFFT, 1e-5, 0.5, p=128),
+    ]
     kept = filter_best_mu(rows, METHOD_RNFFT)
-    mus = {r.mu for r in kept if r.method == METHOD_RNFFT}
-    assert mus == {winners[(64, 1)]}
+    assert kept == [rows[i] for i in (0, 3, 4, 6, 8, 10)]
+    assert filter_best_mu(rows, METHOD_NFFT) == [rows[0], rows[5]]
 
 
 def test_run_figure_smoke():
@@ -226,7 +279,7 @@ def test_config_stores_tuples():
     assert all(type(v) is float for v in cfg.mu)
     assert all(type(m) is str for m in cfg.methods)
     # mu is checked before the float conversion, so a string is still rejected
-    with pytest.raises(TypeError):
+    with pytest.raises(NonPositiveDampingError):
         TrialConfig(mu=("1e-9",))
 
 

@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -14,6 +15,7 @@ from nufft1d import (
     NonuniformGrid,
     NufftError,
     OutOfRangeError,
+    TrialConfig,
     build_plan,
     damping_from_mu,
     mu_from_damping,
@@ -188,6 +190,20 @@ def test_method_params_validation():
         MethodParams(damping_a=0.1, eta=1, mu=1e-9)
     with pytest.raises(TypeError):
         MethodParams(damping_a=0.1, eta=1, spread_width=14)
+
+
+@pytest.mark.parametrize("call, value", [
+    (lambda: MethodParams.from_mu("1e-9", 64), "1e-9"),
+    (lambda: MethodParams(damping_a="0.1", eta=2), "0.1"),
+    (lambda: damping_from_mu(None, 64, 1), None),
+    (lambda: mu_from_damping(1j, 64, 1), 1j),
+    (lambda: TrialConfig(mu=("1e-9",)), "1e-9"),
+], ids=["from_mu-str", "damping-str", "damping_from_mu-none", "mu_from_damping-complex",
+        "config-mu-str"])
+def test_non_real_mu_or_damping_rejected(call, value):
+    # the type is checked before any comparison, so a non-real value gets the named rule
+    with pytest.raises(NonPositiveDampingError, match=re.escape(f"got {value!r}")):
+        call()
 
 
 def test_method_params_integral_floats_stored_as_int():
