@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Writes `nufft1d verify` and five small figure sweeps into OUTDIR: the
-# outputs that a change which claims to keep every result must leave
-# byte-identical, so two trees compare with one `diff -r` of their OUTDIRs.
+# Writes `nufft1d verify`, five small figure sweeps and four transforms of
+# one 64-node trial into OUTDIR: the outputs that a change which claims to
+# keep every result must leave byte-identical, so two trees compare with
+# one `diff -r` of their OUTDIRs.
 #
 #   ci/figure-outputs.sh OUTDIR                # the installed console script
 #   PYTHONPATH=src NUFFT1D="python -m nufft1d.cli" ci/figure-outputs.sh OUTDIR
@@ -18,3 +19,10 @@ $NUFFT1D bench --figure fig2 --p 64 --trials 1 --out "$out/fig2.csv"
 $NUFFT1D bench --figure fig3 --p 64 128 --trials 1 --out "$out/fig3.csv"
 $NUFFT1D bench --figure fig6 --p 64 128 --trials 1 --out "$out/fig6.csv"
 $NUFFT1D bench --figure fig7 --p 64 --trials 1 --out "$out/fig7.csv"
+# a fixed 64-node jittered trial, then type 1/2 of its amplitudes and the
+# inverses of those: type 4 with one refinement pass, type 5 at eta = 6
+python -c 'import sys, numpy as np; from nufft1d import generate_trial; from nufft1d.vecio import write_vector_file; g, a = generate_trial(64, 1); np.savetxt(sys.argv[1] + "/grid.txt", g.instants, fmt="%.17g"); write_vector_file(sys.argv[1] + "/amps.txt", a)' "$out"
+$NUFFT1D transform --type 1 --grid "$out/grid.txt" --data "$out/amps.txt" --out "$out/type1.txt"
+$NUFFT1D transform --type 2 --grid "$out/grid.txt" --data "$out/amps.txt" --out "$out/type2.txt"
+$NUFFT1D transform --type 4 --grid "$out/grid.txt" --data "$out/type1.txt" --out "$out/type4.txt" --passes 1
+$NUFFT1D transform --type 5 --grid "$out/grid.txt" --data "$out/type2.txt" --out "$out/type5.txt" --eta 6

@@ -13,6 +13,7 @@ transform per iteration.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,14 +48,16 @@ def type5_system(grid: NonuniformGrid, flops: FlopCounter | None = None) -> np.n
 def ge_solve(matrix, rhs, flops: FlopCounter | None = None) -> np.ndarray:
     """Gaussian elimination with partial pivoting (LAPACK zgesv).
 
-    Raises ValueError for a non-square matrix or a non-finite right-hand
-    side, LengthMismatchError for one of the wrong length, and
-    SingularMatrixError when LAPACK meets an exactly zero pivot or the
-    solution is not finite.
+    Raises ValueError for a matrix that is not square or not finite or a
+    non-finite right-hand side, LengthMismatchError for one of the wrong
+    length, and SingularMatrixError when LAPACK meets an exactly zero
+    pivot or the solution is not finite.
     """
     A = np.asarray(matrix, dtype=np.complex128)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix must be square, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise ValueError("matrix contains NaN or Inf entries")
     n = A.shape[0]
     b = as_complex_vector(rhs, length=n, name="rhs")
     try:
@@ -99,7 +102,7 @@ def cg_solve(
     at max_iter (default 4P) or when the search direction maps to zero, and
     returns the last iterate (not the best) with a convergence flag.
     """
-    if not 0.0 < tol < np.inf:
+    if not (isinstance(tol, numbers.Real) and 0.0 < tol < np.inf):
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
     P = grid.size
     apply_A, apply_AH = _transform_pair(grid, which, flops)

@@ -1,12 +1,12 @@
 """Monte-Carlo benchmark engine: grids, error measurement, parameter sweeps.
 
-Trials draw a jittered regular grid (node p shifted by up to JITTER_MAX / P)
-and unit-variance circular complex Gaussian amplitudes from a counter-based
-Philox generator, so runs are reproducible from (seed, trial index) alone;
-per-trial streams use key = seed XOR trial. Ground truth is always the
-generated amplitude vector, and the spectrum handed to the solvers comes
-from the exact direct summation, never the fast transform, so method error
-stays unconfounded.
+Trials draw a jittered regular grid (``jittered``: node p shifted by up to
+JITTER_MAX / P) and unit-variance circular complex Gaussian amplitudes
+(``randc`` / sqrt 2) from a counter-based Philox generator, so runs are
+reproducible from (seed, trial index) alone; per-trial streams use key =
+seed XOR trial. Ground truth is always the generated amplitude vector, and
+the spectrum handed to the solvers comes from the exact direct summation,
+never the fast transform, so method error stays unconfounded.
 
 Errors are relative l2 ratios, reported both linear and in dB as
 20 log10.
@@ -97,14 +97,19 @@ class TrialResult:
     seed: int
 
 
+def jittered(P, rng, jitter=JITTER_MAX):
+    return validate_grid(np.arange(P) / P + rng.uniform(0, jitter / P, P))
+
+
+def randc(n, rng):
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
 def generate_trial(P: int, seed: int, jitter_max: float = JITTER_MAX):
     """Jittered grid t_p = p/P + U[0, jitter_max/P) and CN(0, 1) amplitudes."""
     P = require_count(P, "P", 2)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    jitter = rng.uniform(0.0, jitter_max / P, size=P)
-    grid = validate_grid(np.arange(P) / P + jitter)
-    amplitudes = (rng.standard_normal(P) + 1j * rng.standard_normal(P)) / math.sqrt(2.0)
-    return grid, amplitudes
+    rng = np.random.Generator(np.random.Philox(key=require_count(seed, "seed", 0)))
+    return jittered(P, rng, jitter_max), randc(P, rng) / math.sqrt(2.0)
 
 
 def relative_error(truth, estimate) -> float:
@@ -234,7 +239,7 @@ def run_figure(name: str, config: TrialConfig | None = None, dense_cap: int | No
     if name not in FIGURE_DEFAULTS:
         raise ValueError(f"unknown figure {name!r}; choose from {sorted(FIGURE_DEFAULTS)}")
     cfg = config if config is not None else FIGURE_DEFAULTS[name]
-    cap = DENSE_DEFAULT_CAP if dense_cap is None else dense_cap
+    cap = DENSE_DEFAULT_CAP if dense_cap is None else require_count(dense_cap, "dense cap", 0)
     results: list[TrialResult] = []
     dense_methods = tuple(m for m in cfg.methods if m in (METHOD_GE, METHOD_CG))
     fast_methods = tuple(m for m in cfg.methods if m not in (METHOD_GE, METHOD_CG))

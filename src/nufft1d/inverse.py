@@ -44,8 +44,9 @@ class InversePlan:
     h1_coefficients are the exactly band-limited pulse spectrum e^{-2 pi p a}
     (so the solve-side convolution needs no truncation); coef_scale is
     e^{+2 pi p a} / P, the coefficient-recovery weighting. kernel_base is the
-    length-P gridding kernel, ``kernel_for_size(P)``, from which every solve
-    on this grid builds or streams its spreader. All arrays are read-only.
+    length-P gridding kernel, ``kernel_for_size(P)``, kept for callers that
+    pass a kernel to the forward transforms; the solves build or stream
+    their own spreader. All arrays are read-only.
     """
 
     grid: NonuniformGrid

@@ -2,8 +2,9 @@
 
 All checks run at desk scale (P <= 64) in well under a second. Each check
 is named so the CLI can report the first failure precisely. The O(P^2)
-oracles and the helpers ``jittered`` and ``randc`` are public, and the
-test suite uses them too; errors are ``bench.relative_error``.
+oracles are public, and the test suite uses them too. Grids and vectors
+are drawn by ``bench.jittered`` and ``bench.randc``, the draws of
+``bench.generate_trial``; errors are ``bench.relative_error``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from functools import partial
 import numpy as np
 
 from .baselines import ge_solve, type4_system, type5_system
-from .bench import relative_error
+from .bench import jittered, randc, relative_error
 from .flops import FlopCounter
 from .forward import (
     nfft_type1,
@@ -39,14 +40,6 @@ class CheckFailure(AssertionError):
 def _require(ok: bool, detail: str):
     if not ok:
         raise CheckFailure(detail)
-
-
-def jittered(P, rng, jitter=0.6):
-    return validate_grid(np.arange(P) / P + rng.uniform(0, jitter / P, P))
-
-
-def randc(n, rng):
-    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
 def conv_direct(grid, a, lam, P):

@@ -59,6 +59,11 @@ def test_ge_rejects_bad_rhs():
         ge_solve(np.eye(2), [1.0, 1.0, 1.0])
     with pytest.raises(ValueError, match="square"):
         ge_solve(np.ones((2, 3)), [1.0, 1.0])
+    # a non-finite matrix is bad input, not a singular one, and returns no solution
+    for bad in ([[np.inf, 0], [0, 1]], [[1, 0], [0, -np.inf]], [[1, np.inf], [0, 1]],
+                [[np.nan, 0], [0, 1]]):
+        with pytest.raises(ValueError, match="matrix contains NaN or Inf entries"):
+            ge_solve(np.array(bad), [1.0, 1.0])
 
 
 def test_dense_systems_are_hermitian_duals():
@@ -134,8 +139,8 @@ def test_cg_iteration_cap():
 
 def test_cg_rejects_bad_arguments():
     grid, _ = generate_trial(8, 1)
-    for tol in (0.0, np.nan, np.inf):
-        with pytest.raises(ValueError):
+    for tol in (0.0, np.nan, np.inf, "1e-9", None, 1j):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
             cg_solve(grid, np.ones(8), tol=tol)
     with pytest.raises(ValueError):
         cg_solve(grid, np.ones(8), which="type3")

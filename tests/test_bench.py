@@ -29,6 +29,7 @@ from nufft1d.bench import (
     METHOD_RNFFT,
     TrialResult,
     filter_best_mu,
+    randc,
     to_db,
 )
 
@@ -50,6 +51,12 @@ def test_generate_trial_deterministic():
     assert g4.instants.tobytes() == g1.instants.tobytes() and a4.tobytes() == a1.tobytes()
     with pytest.raises(ValueError, match="P must be an integer"):
         generate_trial(2.5, 1)
+    # so is the seed: a Philox key would truncate 1.5 to seed 1's trial
+    g5, a5 = generate_trial(64, 12345.0)
+    assert g5.instants.tobytes() == g1.instants.tobytes() and a5.tobytes() == a1.tobytes()
+    for seed in (1.5, 1.7, "3", -1):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            generate_trial(16, seed)
 
 
 def test_jitter_stays_in_band():
@@ -72,8 +79,8 @@ def test_relative_error_basics():
 
 def test_relative_error_constructed_perturbation():
     rng = np.random.default_rng(0)
-    t = rng.standard_normal(50) + 1j * rng.standard_normal(50)
-    e = rng.standard_normal(50) + 1j * rng.standard_normal(50)
+    t = randc(50, rng)
+    e = randc(50, rng)
     e /= np.linalg.norm(e)
     c = 1e-3
     expected = c / np.linalg.norm(t)
@@ -236,6 +243,28 @@ def test_run_figure_dense_cap():
     assert any(r.method == METHOD_GE and r.p == 32 for r in rows)
     assert not any(r.method == METHOD_GE and r.p == 64 for r in rows)
     assert any(r.method == METHOD_NFFT and r.p == 64 for r in rows)
+    # the cap is a count: a negative one would silently drop every dense row
+    for bad in (-1, 2.5, "x"):
+        with pytest.raises(ValueError, match="dense cap must be an integer >= 0"):
+            run_figure("fig1", cfg, dense_cap=bad)
+
+
+def test_run_figure_skips_p_with_no_method_left(monkeypatch):
+    # GE alone, one P above the cap: that P gets no rows and draws no trial
+    import nufft1d.bench as bench
+
+    drawn = []
+    real = bench.generate_trial
+
+    def counted(P, seed, **kwargs):
+        drawn.append(P)
+        return real(P, seed, **kwargs)
+
+    monkeypatch.setattr(bench, "generate_trial", counted)
+    cfg = TrialConfig(p=(16, 64), eta=(1,), mu=(1e-9,), trials=2, seed=4, methods=(METHOD_GE,))
+    rows, _ = run_figure("fig1", cfg, dense_cap=32)
+    assert {r.p for r in rows} == {16} and len(rows) == cfg.trials
+    assert drawn == [16] * cfg.trials
 
 
 def test_run_figure_fig6_adds_refined_sweep():

@@ -18,7 +18,7 @@ from nufft1d import (
     type4,
     type5_system,
 )
-from nufft1d.bench import FIGURE_DEFAULTS
+from nufft1d.bench import FIGURE_DEFAULTS, randc
 from nufft1d.cli import main
 from nufft1d.lagrange import kernel_coefficients
 from nufft1d.vecio import read_vector_file, write_vector_file
@@ -114,7 +114,7 @@ def test_roundtrip_check_on_zero_data_fails_before_writing(tmp_path, capsys):
 def test_transform_type5_matches_dense_solve(tmp_path, capsys):
     grid, _, gpath = write_trial(tmp_path, P=8, seed=9)
     rng = np.random.default_rng(1)
-    samples = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    samples = randc(8, rng)
     dpath = tmp_path / "samples.txt"
     write_vector_file(dpath, samples)
     out = tmp_path / "coef.txt"
@@ -351,6 +351,16 @@ def test_bench_bad_config_exit_code(option, tmp_path, capsys):
                "--trials", "1", "--eta", "1", *option])
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"error: {option[0]}: ")
+    assert not out.exists()
+
+
+def test_bench_negative_dense_cap_exit_code(tmp_path, capsys):
+    # a negative cap would drop every GE/CG row: it is an input error, not an empty sweep
+    out = tmp_path / "fig1.csv"
+    rc = main(["bench", "--figure", "fig1", "--out", str(out), "--p", "16", "--trials", "1",
+               "--eta", "1", "--mu", "1e-8", "--dense-cap", "-1"])
+    assert rc == 2
+    assert "dense cap must be an integer >= 0" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -16,6 +16,7 @@ from nufft1d import (
     type4_system,
     type5,
 )
+from nufft1d.bench import randc
 from nufft1d.flops import charge, fft_flops
 from nufft1d.forward import nonuniform_conv
 
@@ -64,6 +65,10 @@ def test_total_matches_weight_formula():
 def test_non_dyadic_fft_charge():
     # real-valued log2, rounded at the total
     assert abs(fft_flops(12) - 5 * 12 * np.log2(12)) < 1e-9
+
+
+def test_trivial_fft_costs_nothing():
+    assert fft_flops(0) == fft_flops(1) == 0.0
 
 
 def test_counter_merge():
@@ -156,8 +161,8 @@ def test_plan_flops_deterministic():
 def test_conv_complex_kernel_charges_complex_muls():
     rng = np.random.default_rng(6)
     grid, _ = generate_trial(16, 7)
-    a = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    lam_c = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+    a = randc(16, rng)
+    lam_c = randc(32, rng)
     c_complex, c_real = FlopCounter(), FlopCounter()
     nonuniform_conv(grid, a, lam_c, 16, flops=c_complex)
     nonuniform_conv(grid, a, np.abs(lam_c), 16, flops=c_real)

@@ -88,6 +88,16 @@ def test_validation_idempotent():
     assert np.array_equal(again.instants, grid.instants)
 
 
+def test_equal_grids_hash_equal():
+    # grids compare and hash by their instants, whatever arrays they were built from
+    a = NonuniformGrid(np.array([0.1, 0.6]))
+    b = NonuniformGrid([0.1, 0.6])
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != NonuniformGrid([0.1, 0.7])
+    assert (a == "x") is False
+
+
 def test_caller_order_kept():
     for build in BUILDERS:
         assert np.array_equal(build([0.9, 0.1, 0.4]).instants, [0.9, 0.1, 0.4])

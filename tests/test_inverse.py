@@ -264,7 +264,7 @@ def _pairs(P, rng):
 
 
 NODE_FAMILIES = {
-    "jitter-0.99": (256, lambda P, rng: np.arange(P) / P + rng.uniform(0, 0.99 / P, P)),
+    "jitter-0.99": (256, lambda P, rng: jittered(P, rng, 0.99).instants),
     "pairs": (256, _pairs),
     # spacing shrunk by 1/P, so the wrap-around gap spans 2 spacings
     "gap-2": (256, lambda P, rng: (np.arange(P) / P) * (1 - 1 / P) + rng.uniform(0, 0.3 / P, P)),
