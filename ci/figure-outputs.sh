@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Writes `nufft1d verify`, five small figure sweeps and four transforms of
-# one 64-node trial into OUTDIR: the outputs that a change which claims to
-# keep every result must leave byte-identical, so two trees compare with
-# one `diff -r` of their OUTDIRs.
+# Writes `nufft1d verify`, five small figure sweeps (fig6 once more at
+# P = 300, where the direct oracle spans two phase row blocks) and four
+# transforms of one 64-node trial into OUTDIR: the outputs that a change
+# which claims to keep every result must leave byte-identical, so two trees
+# compare with one `diff -r` of their OUTDIRs.
 #
 #   ci/figure-outputs.sh OUTDIR                # the installed console script
 #   PYTHONPATH=src NUFFT1D="python -m nufft1d.cli" ci/figure-outputs.sh OUTDIR
@@ -18,6 +19,7 @@ $NUFFT1D bench --figure fig1 --p 64 --trials 2 --out "$out/fig1.csv"
 $NUFFT1D bench --figure fig2 --p 64 --trials 1 --out "$out/fig2.csv"
 $NUFFT1D bench --figure fig3 --p 64 128 --trials 1 --out "$out/fig3.csv"
 $NUFFT1D bench --figure fig6 --p 64 128 --trials 1 --out "$out/fig6.csv"
+$NUFFT1D bench --figure fig6 --p 300 --trials 1 --out "$out/fig6-p300.csv"
 $NUFFT1D bench --figure fig7 --p 64 --trials 1 --out "$out/fig7.csv"
 # a fixed 64-node jittered trial, then type 1/2 of its amplitudes and the
 # inverses of those: type 4 with one refinement pass, type 5 at eta = 6

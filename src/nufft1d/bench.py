@@ -6,7 +6,8 @@ JITTER_MAX / P) and unit-variance circular complex Gaussian amplitudes
 reproducible from (seed, trial index) alone; per-trial streams use key =
 seed XOR trial. Ground truth is always the generated amplitude vector, and
 the spectrum handed to the solvers comes from the exact direct summation,
-never the fast transform, so method error stays unconfounded.
+never the fast transform, so method error stays unconfounded; a trial
+that runs GE takes it as GE's dense matrix times the amplitudes.
 
 Errors are relative l2 ratios, reported both linear and in dB as
 20 log10.
@@ -28,7 +29,7 @@ from .errors import (
     ZeroReferenceError,
 )
 from .flops import FlopCounter
-from .forward import nfft_type1_direct
+from .forward import _blocked_matvec, nfft_type1_direct
 from .grid import MethodParams, _check_mu, require_count, validate_grid
 from .inverse import build_plan, refine_type4
 
@@ -73,10 +74,7 @@ class TrialConfig:
             _check_mu(mu)   # mu * (eta P - 1) >= 1 is a per-cell skip in run_sweep
         object.__setattr__(self, "mu", tuple(float(mu) for mu in self.mu))
         object.__setattr__(self, "trials", require_count(self.trials, "trials", 1))
-        seed = require_count(self.seed, "seed", 0)
-        if seed >= 2**128:   # each trial's Philox key is seed ^ trial, below 2**128
-            raise ValueError(f"seed must be below 2**128, got {seed}")
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "seed", _require_seed(self.seed))
         for m in self.methods:
             if m not in ALL_METHODS:
                 raise ValueError(f"unknown method {m!r}")
@@ -105,10 +103,18 @@ def randc(n, rng):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
+def _require_seed(seed) -> int:
+    """``seed`` as an int; ValueError unless it is an integer in [0, 2**128)."""
+    seed = require_count(seed, "seed", 0)
+    if seed >= 2**128:   # a Philox key, and each trial's key seed ^ trial, is below 2**128
+        raise ValueError(f"seed must be below 2**128, got {seed}")
+    return seed
+
+
 def generate_trial(P: int, seed: int, jitter_max: float = JITTER_MAX):
     """Jittered grid t_p = p/P + U[0, jitter_max/P) and CN(0, 1) amplitudes."""
     P = require_count(P, "P", 2)
-    rng = np.random.Generator(np.random.Philox(key=require_count(seed, "seed", 0)))
+    rng = np.random.Generator(np.random.Philox(key=_require_seed(seed)))
     return jittered(P, rng, jitter_max), randc(P, rng) / math.sqrt(2.0)
 
 
@@ -133,13 +139,17 @@ def to_db(error_linear: float) -> float:
 def run_sweep(config: TrialConfig) -> list[TrialResult]:
     """Run every (P, trial, method, eta, mu) combination of the config.
 
-    Every trial draws its grid with jitter JITTER_MAX. GE and CG are
-    parameter-free and run once per trial; the fast methods run once per
-    (eta, mu) pair and share one plan: NFFT is ``refine_type4`` with no
-    refinement pass and R-NFFT with one. Infeasible (mu, eta) pairs
-    (truncation too loose to need damping) are skipped. Deliberately
-    over-damped corners would also spam amplification warnings, so those
-    are suppressed here.
+    Every trial draws its grid with jitter JITTER_MAX. Its spectrum is the
+    exact direct summation. With GE requested, that is the dense type-4
+    system GE solves (built once, charged to GE) times the amplitudes, taken
+    over the direct oracle's row blocks, so it has ``nfft_type1_direct``'s
+    bytes; the system is freed once GE is done. Without GE it is
+    ``nfft_type1_direct`` itself. GE and CG are parameter-free and run once
+    per trial; the fast methods run once per (eta, mu) pair and share one
+    plan: NFFT is ``refine_type4`` with no refinement pass and R-NFFT with
+    one. Infeasible (mu, eta) pairs (truncation too loose to need damping)
+    are skipped. Deliberately over-damped corners would also spam
+    amplification warnings, so those are suppressed here.
     """
     results: list[TrialResult] = []
     if METHOD_GE in config.methods and max(config.p) > GE_SIZE_CAP:
@@ -152,7 +162,6 @@ def run_sweep(config: TrialConfig) -> list[TrialResult]:
             for trial in range(config.trials):
                 tseed = config.seed ^ trial
                 grid, a_true = generate_trial(P, tseed)
-                spectrum = nfft_type1_direct(grid, a_true, P)
 
                 def record(method, x, counter, eta=None, mu=None, cg_iterations=None):
                     err = relative_error(a_true, x)
@@ -165,8 +174,13 @@ def run_sweep(config: TrialConfig) -> list[TrialResult]:
 
                 if METHOD_GE in config.methods:
                     counter = FlopCounter()
-                    x = ge_solve(type4_system(grid, flops=counter), spectrum, flops=counter)
+                    system = type4_system(grid, flops=counter)
+                    spectrum = _blocked_matvec(system, a_true)
+                    x = ge_solve(system, spectrum, flops=counter)
+                    del system
                     record(METHOD_GE, x, counter)
+                else:
+                    spectrum = nfft_type1_direct(grid, a_true, P)
                 if METHOD_CG in config.methods:
                     counter = FlopCounter()
                     res = cg_solve(grid, spectrum, "type4", tol=CG_TOL, flops=counter)

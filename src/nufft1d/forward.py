@@ -15,7 +15,7 @@ import numpy as np
 from .errors import LengthMismatchError
 from .flops import FlopCounter, charge
 from .grid import NonuniformGrid, as_complex_vector, require_count, require_vector
-from .gridding import GriddingKernel, Spreader, kernel_for_size, round_product
+from .gridding import GriddingKernel, Spreader, _cis_inplace, kernel_for_size, round_product
 
 _PHASE_BLOCK = 2**16   # entries per phase block, at least one row; bounds its temporaries
 
@@ -102,20 +102,24 @@ def nfft_type2(
     return spread.gather(_idft_unnormalized(F))
 
 
+def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:
+    """Slices of ``_PHASE_BLOCK // n_cols`` rows, at least one, covering ``n_rows`` rows."""
+    step = max(1, _PHASE_BLOCK // n_cols)
+    return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
+
+
 def _phase_blocks(rows, cols, sign: int):
     """Yield (row slice, e^{sign 2 pi i r c}) for row blocks of ``rows`` against all ``cols``.
 
-    A block has ``_PHASE_BLOCK // len(cols)`` rows, at least one, so its
-    temporaries stay near ``_PHASE_BLOCK`` entries however long a row is;
-    each entry is the same whatever the blocking. The signed remainder of
-    r * c mod 1 (``round_product``) is exponentiated as it is, with no
-    second rounding to [0, 1) as in ``cis_cycles``.
+    The blocks are ``_row_blocks``, so a block's temporaries stay near
+    ``_PHASE_BLOCK`` entries however long a row is; each entry is the same
+    whatever the blocking. The signed remainder of r * c mod 1
+    (``round_product``) is phased as it is by ``gridding._cis_inplace``,
+    with no second rounding to [0, 1) as in ``cis_cycles``.
     """
     r = sign * np.asarray(rows, dtype=np.float64)
-    step = max(1, _PHASE_BLOCK // len(cols))
-    for lo in range(0, r.size, step):
-        block = slice(lo, lo + step)
-        yield block, np.exp(2j * np.pi * round_product(r[block, None], cols)[1])
+    for block in _row_blocks(r.size, len(cols)):
+        yield block, _cis_inplace(round_product(r[block, None], cols)[1])
 
 
 def _direct(rows, cols, sign: int, vector: np.ndarray) -> np.ndarray:
@@ -124,6 +128,18 @@ def _direct(rows, cols, sign: int, vector: np.ndarray) -> np.ndarray:
     for block, phases in _phase_blocks(rows, cols, sign):
         out[block] = phases @ vector
         del phases      # free this block before the generator builds the next
+    return out
+
+
+def _blocked_matvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """matrix @ vector taken over the direct oracles' row blocks (``_row_blocks``).
+
+    On ``baselines.type4_system`` these are the type-1 oracle's products, so
+    the result has its bytes whatever the BLAS does with a taller product.
+    """
+    out = np.empty(len(matrix), dtype=np.complex128)
+    for block in _row_blocks(*matrix.shape):
+        out[block] = matrix[block] @ vector
     return out
 
 

@@ -21,10 +21,13 @@ MIN_GAP = 1e-12
 
 
 def require_count(value, name: str, low: int) -> int:
-    """``value`` as an int; ValueError unless it is an integer >= ``low``."""
+    """``value`` as an int; ValueError unless it is an integer >= ``low``.
+
+    A bool (``np.bool_`` included) is a flag, not a count, and is rejected.
+    """
     integral = isinstance(value, numbers.Integral) or (
         isinstance(value, numbers.Real) and float(value).is_integer())
-    if not (integral and value >= low):
+    if isinstance(value, (bool, np.bool_)) or not (integral and value >= low):
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
 
@@ -43,7 +46,7 @@ def require_vector(values, length: int | None = None, name: str = "vector") -> n
         raise LengthMismatchError(f"{name} must be nonempty")
     if length is not None and arr.size != length:
         raise LengthMismatchError(f"{name} has length {arr.size}, expected {length}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains NaN or Inf entries")
     return arr
 

@@ -53,10 +53,28 @@ _SPREAD_BLOCK = 1024    # instants per block; bounds the (block x taps) temporar
 
 
 def cis_cycles(cycles) -> np.ndarray:
-    """e^{2 pi i c} with c in cycles, reduced mod 1 in the precision of ``cycles``."""
+    """e^{2 pi i c} with c in cycles, reduced mod 1 in the precision of ``cycles``.
+
+    The reduced cycles are cast to double and phased by ``_cis_inplace``.
+    """
     c = np.asarray(cycles)
     frac = c - np.floor(c)      # np.mod(c, 1.0) bit for bit, in a third of its time
-    return np.exp(2j * np.pi * frac.astype(np.float64, copy=False))
+    return _cis_inplace(frac.astype(np.float64, copy=False))
+
+
+def _cis_inplace(cycles: np.ndarray) -> np.ndarray:
+    """e^{2 pi i c} of the double ``cycles``, which are overwritten with the angles 2 pi c.
+
+    cos and sin fill one complex output, with no complex temporary, in the
+    bytes of np.exp(2j * np.pi * c): that product is +-0 + i (0 * 0 + 2 pi c),
+    and e^{+-0 + i theta} is (cos theta, sin theta) from the same libm.
+    """
+    cycles *= 2.0 * np.pi
+    cycles += 0.0       # -0 to +0, as 0 * 0 + 2 pi c does; every other angle is kept
+    out = np.empty(np.shape(cycles), dtype=np.complex128)
+    np.cos(cycles, out=out.real)
+    np.sin(cycles, out=out.imag)
+    return out
 
 
 def round_product(x, y):
@@ -64,16 +82,28 @@ def round_product(x, y):
 
     Dekker's exact product (Numer. Math. 18, 1971) of the Veltkamp-split
     operands gives x * y = p + e exactly; p - n is then exact for |p| < 2^52.
+    The broadcast terms are computed in place, in four arrays of the
+    broadcast shape. Scalar or 0-d operands give numpy scalars.
     """
-    p = x * y
     cx, cy = 134217729.0 * x, 134217729.0 * y           # 2^27 + 1 splits into 26-bit halves
     xh, yh = cx - (cx - x), cy - (cy - y)
     xl, yl = x - xh, y - yh
-    e = (((xh * yh - p) + xh * yl) + xl * yh) + xl * yl
-    n = np.rint(p)
-    d = p - n
-    m = np.rint(d + np.copysign(2.0 ** -53, e))  # moves only d = +-1/2, the way e points
-    return n + m, (d - m) + e
+    p, e, n, m = (np.empty(np.broadcast(x, y).shape) for _ in range(4))
+    np.multiply(x, y, out=p)
+    np.multiply(xh, yh, out=e)
+    e -= p                                          # e = (((xh yh - p) + xh yl) + xl yh) + xl yl
+    e += np.multiply(xh, yl, out=n)
+    e += np.multiply(xl, yh, out=n)
+    e += np.multiply(xl, yl, out=n)
+    np.rint(p, out=n)
+    d = np.subtract(p, n, out=p)
+    np.copysign(2.0 ** -53, e, out=m)
+    m += d
+    np.rint(m, out=m)           # moves only d = +-1/2, the way e points
+    d -= m
+    d += e
+    n += m
+    return (n, d) if n.ndim else (n[()], d[()])     # owned: numpy elides only their temporaries
 
 
 def sum_cycles(start: float, values) -> float:
@@ -212,8 +242,9 @@ class Spreader:
         # row i of the (n + 1, taps) view is padded[i : i + taps]; indexing it
         # by start copies each instant's taps, and checks every start's bounds
         stride = padded.strides[0]
-        windows = np.lib.stride_tricks.as_strided(
-            padded, shape=(padded.size - taps + 1, taps), strides=(stride, stride), writeable=False)
+        windows = np.ndarray((padded.size - taps + 1, taps), dtype=padded.dtype, buffer=padded,
+                             strides=(stride, stride))
+        windows.setflags(write=False)
         out = np.empty(self.phase.size, dtype=np.complex128)
         for block, starts, pulse in self._block_taps():
             np.einsum("qj,qj->q", pulse, windows[starts], out=out[block])

@@ -331,3 +331,28 @@ def test_figure_protocol_defaults():
     fig7 = FIGURE_DEFAULTS["fig7"]
     assert fig7.p == (1024,) and fig7.eta == tuple(range(1, 21))
     assert set(fig7.methods) == {"GE", "CG", "NFFT"}
+
+
+def test_bool_and_oversized_seeds_rejected():
+    # a bool is a flag, not a count: True is not seed 1 or one trial
+    for bad in (True, np.True_):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            generate_trial(16, bad)
+        with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+            TrialConfig(trials=bad)
+    # the Philox key's limit is worded once, for the trial and the config alike
+    for call in (lambda seed: generate_trial(16, seed), lambda seed: TrialConfig(seed=seed)):
+        with pytest.raises(ValueError, match=rf"^seed must be below 2\*\*128, got {2**128}$"):
+            call(2**128)
+    generate_trial(16, 2**128 - 1)
+
+
+@pytest.mark.parametrize("P", [64, 300])
+def test_sweep_rows_same_with_and_without_ge(P):
+    # with GE the spectrum is GE's dense system times the amplitudes, over the
+    # direct oracle's row blocks (two at P = 300); without GE it is the oracle
+    cfg = TrialConfig(p=(P,), eta=(1, 6), mu=(1e-15, 1e-8), trials=1, seed=3)
+    with_ge = run_sweep(cfg)
+    without_ge = run_sweep(replace(cfg, methods=(METHOD_CG, METHOD_NFFT, METHOD_RNFFT)))
+    assert with_ge[0].method == METHOD_GE
+    assert repr([r for r in with_ge if r.method != METHOD_GE]) == repr(without_ge)

@@ -17,8 +17,9 @@ from nufft1d import (
     type5,
     validate_grid,
 )
-from nufft1d.forward import nonuniform_conv
-from nufft1d.gridding import _SPREAD_BLOCK
+from nufft1d.baselines import type4_system
+from nufft1d.forward import _blocked_matvec, _phase_blocks, nonuniform_conv
+from nufft1d.gridding import _SPREAD_BLOCK, round_product
 from nufft1d.verify import conv_direct, jittered, randc
 
 
@@ -437,3 +438,30 @@ def test_kernel_tables_positive_finite_immutable():
             k.deconv[0] = 1.0
     with pytest.raises(ValueError):
         kernel_for_size(0)
+
+
+@pytest.mark.parametrize("P", [8, 64, 300, 1000])
+def test_dense_system_product_is_the_oracle(P):
+    # the sweep's spectrum: the type-4 system times the amplitudes over the
+    # oracle's row blocks has the oracle's bytes, one block or several
+    rng = np.random.default_rng(P)
+    grid, a = jittered(P, rng), randc(P, rng)
+    spectrum = _blocked_matvec(type4_system(grid), a)
+    assert spectrum.tobytes() == nfft_type1_direct(grid, a, P).tobytes()
+
+
+def test_phase_blocks_match_complex_exponential():
+    # cos and sin of the in-place angle are the bytes of the complex exponential
+    # of the remainder, on remainders 0, -1/2 (ties), +-subnormal and random
+    rng = np.random.default_rng(29)
+    cols = np.concatenate([[0.0, 0.5, 0.25, 5e-324, 1e-310, 1.0 - 2.0**-53],
+                           rng.uniform(0.0, 1.0, 300)])
+    rows = np.concatenate([np.arange(6.0), [1000.0, 2.0**20], rng.integers(0, 2**20, 300)])
+    for sign in (-1, 1):
+        r = sign * rows
+        want = np.exp(2j * np.pi * round_product(r[:, None], cols)[1])
+        got = np.empty_like(want)
+        blocks = list(_phase_blocks(rows, cols, sign))
+        for block, phases in blocks:
+            got[block] = phases
+        assert len(blocks) == 2 and got.tobytes() == want.tobytes()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import nufft1d as nf
-from nufft1d.gridding import cis_cycles, round_product, sum_cycles
+from nufft1d.gridding import _cis_inplace, cis_cycles, round_product, sum_cycles
 
 
 def assert_round_product_exact(x, y):
@@ -108,3 +108,24 @@ def test_same_results_where_long_double_is_plain_double(monkeypatch):
     patched = _outputs()
     for name, want in native.items():
         assert np.array_equal(patched[name], want), name
+
+
+def test_cis_matches_complex_exponential_on_edges():
+    # the angle is formed in place and phased with cos and sin, in the bytes of
+    # np.exp(2j * np.pi * c), -0.0 included (cis_cycles' reduced cycles are
+    # checked against the exponential in test_cis_cycles_reduces_as_mod)
+    rng = np.random.default_rng(30)
+    c = np.concatenate([[-0.0, 0.0, 0.5, -0.5, 1.0, 5e-324, -5e-324, 1e-310],
+                        rng.uniform(-0.5, 0.5, 1000)])
+    assert _cis_inplace(c.copy()).tobytes() == np.exp(2j * np.pi * c).tobytes()
+
+
+def test_round_product_scalar_operands():
+    # scalars and 0-d arrays give numpy scalars, as the arithmetic on them would
+    for x, y in ((3.0, 0.7), (np.float64(5.0), 0.1), (np.array(2048.0), np.array(0.3)), (7, 0.5)):
+        n, r = round_product(x, y)
+        assert np.ndim(n) == 0 and np.ndim(r) == 0
+        assert isinstance(n, np.float64) and isinstance(r, np.float64)
+        rest = Fraction(float(x)) * Fraction(float(y)) - int(n)
+        assert abs(rest) <= Fraction(1, 2) and r == float(rest)
+    assert sum_cycles(0.5, 0.25) == 0.75
