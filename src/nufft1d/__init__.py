@@ -26,7 +26,6 @@ from .errors import (
     DuplicateNodeError,
     KernelOverflowError,
     LengthMismatchError,
-    NonConvergenceError,
     NonPositiveDampingError,
     NufftError,
     OutOfRangeError,
@@ -61,7 +60,6 @@ __all__ = [
     "KernelOverflowError",
     "LengthMismatchError",
     "MethodParams",
-    "NonConvergenceError",
     "NonPositiveDampingError",
     "NonuniformGrid",
     "NufftError",

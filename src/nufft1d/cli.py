@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--mu", type=float, default=None, help="truncation ratio (types 4/5)")
     group.add_argument("--a", type=float, default=None, help="damping factor (types 4/5)")
     tr.add_argument("--passes", type=int, default=None,
-                    help="refinement passes for types 4/5 (0 = plain method)")
+                    help="most refinement passes for types 4/5 (0 = plain method)")
     tr.add_argument("--check-roundtrip", action="store_true", default=None,
                     help="after a type 4/5 solve, print the exact-forward residual")
 

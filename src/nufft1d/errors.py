@@ -33,10 +33,6 @@ class SingularMatrixError(NufftError):
     """Gaussian elimination met an exactly zero pivot or returned a non-finite solution."""
 
 
-class NonConvergenceError(NufftError):
-    """Residual norm grew between refinement passes (parameters too coarse)."""
-
-
 class ZeroReferenceError(NufftError):
     """Relative error is undefined against a zero reference vector."""
 

@@ -80,7 +80,8 @@ def nfft_type1(
     a = as_complex_vector(amplitudes, length=grid.size, name="amplitudes")
     spread = _gridding_kernel(kernel, grid, R, flops)
     spectrum = np.fft.fft(spread.scatter(a))
-    return spectrum[spread.kernel.bins] * spread.kernel.deconv
+    n, K = spread.kernel.fine_size, spread.kernel.band_shift
+    return np.concatenate((spectrum[n - K:], spectrum[:R - K])) * spread.kernel.deconv
 
 
 def nfft_type2(
@@ -97,8 +98,10 @@ def nfft_type2(
     """
     S = as_complex_vector(coefficients, name="coefficients")
     spread = _gridding_kernel(kernel, grid, S.size, flops)
-    F = np.zeros(spread.kernel.fine_size, dtype=np.complex128)
-    F[spread.kernel.bins] = S * spread.kernel.deconv
+    n, K, deconv = spread.kernel.fine_size, spread.kernel.band_shift, spread.kernel.deconv
+    F = np.zeros(n, dtype=np.complex128)
+    np.multiply(S[:K], deconv[:K], out=F[n - K:])     # negative frequencies, bins n - K..n - 1
+    np.multiply(S[K:], deconv[K:], out=F[:S.size - K])
     return spread.gather(_idft_unnormalized(F))
 
 

@@ -13,8 +13,8 @@ double, by ``round_product``; rounded first, the phase alone would cost
 ~1e-13 relative error at R = 4096.
 
 Spreading works on a padded fine grid of length n + 2m + 1, fine-grid
-point j - m held at padded index j, so no tap index is ever wrapped; the
-padded edges are folded back onto the periodic grid once per transform.
+point j - m held at padded index j, so no tap index is ever wrapped; its
+n-point chunks are added back onto the periodic grid once per transform.
 The taps of instant q are the 2m + 1 consecutive padded points from its
 start index i0, so a ``Spreader`` needs i0 alone, not a table of tap
 indices (as NFFT3 keeps a compact per-node window; Keiner, Kunis, Potts,
@@ -33,9 +33,9 @@ The build, the scatter and the gather walk the instants in blocks of
 block's (block, taps) temporaries exist at once: its tap distances, flat
 tap indices, complex products or gathered windows, about 0.7 MB in all,
 instead of (Q, taps) arrays of up to 90 MB at Q = 131072. Scatter makes one
-complex ``np.add.at`` per block onto the padded grid, in node order, and
-one more that folds it; ``np.add.at`` adds in index order, as
-``np.bincount`` does, so the blocked sums equal one call's bit for bit.
+complex ``np.add.at`` per block onto the padded grid, in node order;
+``np.add.at`` adds in index order, as ``np.bincount`` does, so the blocked
+sums equal one call's bit for bit.
 """
 
 from __future__ import annotations
@@ -117,15 +117,14 @@ class GriddingKernel:
     """Precomputed pulse data for transforms with a fixed output length.
 
     Fields are immutable and shareable across threads; one kernel serves any
-    number of transforms of the same size.
+    number of transforms of the same size. ``deconv`` is its one array.
     """
 
     size: int                 # output band length R
     fine_size: int            # oversampled grid length, 2R
     band_shift: int           # K = R // 2, modulation making the band centered
-    bins: np.ndarray          # fine-grid FFT bin of each output frequency
     deconv: np.ndarray        # 1 / (n Psi_nu), strictly positive, length R
-    fold: np.ndarray          # fine-grid bin of each padded-grid point, length n + 2m + 1
+    fold: tuple[tuple[slice, slice], ...]   # (padded, fine) slices of each n-point chunk
 
     taps = 2 * SPREAD_WIDTH + 1
 
@@ -133,7 +132,7 @@ class GriddingKernel:
         """Padded fine-grid start indices and signed tap distances of each instant.
 
         The taps of instant q are the padded points i0 + j, j = 0..2m, of the
-        padded grid of length n + 2m + 1 (``fold`` maps them to fine-grid bins
+        padded grid of length n + 2m + 1 (``fold`` puts them at fine-grid bins
         i0 + j - m mod n), where the (Q,) int64 start index i0 = rint(n t_q)
         lies in [0, n]. Row q of the (Q, taps) distances holds
         j - m - (n t_q - i0), with n t_q - i0 exact to one rounding
@@ -194,9 +193,10 @@ class Spreader:
     indices, complex products and gathered windows are (block, taps), not
     (Q, taps). ``scatter`` sums with one complex
     ``np.add.at`` per block, in node order, which adds in index order as
-    ``np.bincount`` does; ``gather`` reads a window view of the padded grid
-    at each start. The arrays are read-only, so a spreader can be shared
-    across threads.
+    ``np.bincount`` does, then adds the padded grid's chunks onto the fine
+    grid (``kernel.fold``); ``gather`` concatenates fine-grid slices into
+    the padded grid and reads a window view of it at each start. The
+    arrays are read-only, so a spreader can be shared across threads.
     """
 
     kernel: GriddingKernel
@@ -225,20 +225,21 @@ class Spreader:
         kernel = self.kernel
         shifted = values * np.conj(self.phase)
         offsets = np.arange(kernel.taps)
-        padded = np.zeros(kernel.fold.size, dtype=np.complex128)
+        padded = np.zeros(kernel.fine_size + kernel.taps, dtype=np.complex128)
         for block, starts, pulse in self._block_taps():
             flat = (starts[:, None] + offsets).ravel()
             np.add.at(padded, flat, (pulse * shifted[block, None]).ravel())
-        # folded by index, not by adding slices: for R <= 7 an edge pad (m or
-        # m + 1 points) is longer than the fine grid and wraps onto it repeatedly
+        # each fine point gets its terms in padded order, from +0, as np.add.at would add them
         fine = np.zeros(kernel.fine_size, dtype=np.complex128)
-        np.add.at(fine, kernel.fold, padded)
+        for pad, wrap in kernel.fold:
+            chunk = fine[wrap]      # a view: += adds in place, with no copy back
+            chunk += padded[pad]
         return fine
 
     def gather(self, fine: np.ndarray) -> np.ndarray:
         """Windowed sums of the periodic fine-grid sequence at each instant, band-shifted."""
         taps = self.kernel.taps
-        padded = fine[self.kernel.fold]
+        padded = np.concatenate([fine[wrap] for _, wrap in self.kernel.fold])
         # row i of the (n + 1, taps) view is padded[i : i + taps]; indexing it
         # by start copies each instant's taps, and checks every start's bounds
         stride = padded.strides[0]
@@ -267,12 +268,13 @@ def _cached_kernel(size: int) -> GriddingKernel:
     K = size // 2
     nu = np.arange(size) - K
     deconv = np.exp(_SHAPE_B * (2.0 * np.pi * nu / n) ** 2) / np.sqrt(4.0 * np.pi * _SHAPE_B)
-    bins = nu % n
-    fold = (np.arange(n + 2 * SPREAD_WIDTH + 1) - SPREAD_WIDTH) % n
-    for arr in (deconv, bins, fold):
-        arr.setflags(write=False)
-    return GriddingKernel(size=size, fine_size=n, band_shift=K,
-                          bins=bins, deconv=deconv, fold=fold)
+    deconv.setflags(write=False)
+    # padded point i is fine point (i - m) mod n: n-point chunks start at each i = m mod n,
+    # the first at or below 0, clipped to the padded grid; for R <= 7 a pad spans several
+    padded = n + GriddingKernel.taps
+    fold = tuple((slice(max(lo, 0), min(lo + n, padded)), slice(max(-lo, 0), min(n, padded - lo)))
+                 for lo in range(-(-SPREAD_WIDTH % n), padded, n))
+    return GriddingKernel(size=size, fine_size=n, band_shift=K, deconv=deconv, fold=fold)
 
 
 # the cache's statistics and reset, reachable from the public name

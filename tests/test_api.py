@@ -5,7 +5,7 @@ import nufft1d
 PUBLIC = [
     "AmplificationWarning", "CGResult", "DuplicateNodeError", "FlopCounter", "FlopReport",
     "InversePlan", "KernelOverflowError", "LengthMismatchError", "MethodParams",
-    "NonConvergenceError", "NonPositiveDampingError", "NonuniformGrid", "NufftError",
+    "NonPositiveDampingError", "NonuniformGrid", "NufftError",
     "OutOfRangeError", "SingularDerivativeError", "SingularMatrixError", "TrialConfig",
     "TrialResult", "ZeroReferenceError", "build_plan", "cg_solve", "damping_from_mu",
     "ge_solve", "generate_trial", "kernel_for_size", "mu_from_damping", "nfft_type1",

@@ -19,7 +19,7 @@ from nufft1d import (
 )
 from nufft1d.baselines import type4_system
 from nufft1d.forward import _blocked_matvec, _phase_blocks, nonuniform_conv
-from nufft1d.gridding import _SPREAD_BLOCK, round_product
+from nufft1d.gridding import _SPREAD_BLOCK, SPREAD_WIDTH, round_product
 from nufft1d.verify import conv_direct, jittered, randc
 
 
@@ -284,29 +284,39 @@ def test_scatter_gather_adjoint(R):
     assert abs(lhs - rhs) <= 1e-15 * abs(lhs)
 
 
+def _fold_table(kernel):
+    # padded point i is fine point (i - m) mod n, as an index table
+    n = kernel.fine_size
+    return (np.arange(n + kernel.taps) - SPREAD_WIDTH) % n
+
+
 def _scatter_monolithic(spread, x):
-    # one np.add.at over every tap of every instant, then the fold
+    # one np.add.at over every tap of every instant, then one through the fold table
     kernel = spread.kernel
+    fold = _fold_table(kernel)
     flat = (spread.starts[:, None] + np.arange(kernel.taps)).ravel()
-    padded = np.zeros(kernel.fold.size, dtype=np.complex128)
+    padded = np.zeros(fold.size, dtype=np.complex128)
     np.add.at(padded, flat, (spread.pulse * (x * np.conj(spread.phase))[:, None]).ravel())
     fine = np.zeros(kernel.fine_size, dtype=np.complex128)
-    np.add.at(fine, kernel.fold, padded)
+    np.add.at(fine, fold, padded)
     return fine
 
 
 def _gather_monolithic(spread, y):
     # one einsum over the (Q, taps) windows of every instant
     kernel = spread.kernel
-    windows = y[kernel.fold][spread.starts[:, None] + np.arange(kernel.taps)]
+    windows = y[_fold_table(kernel)][spread.starts[:, None] + np.arange(kernel.taps)]
     return np.einsum("qj,qj->q", spread.pulse, windows) * spread.phase
 
 
-@pytest.mark.parametrize("R", [3, 64, 2 * _SPREAD_BLOCK + 37])
+@pytest.mark.parametrize("R", [1, 3, 7, 8, 64, 2 * _SPREAD_BLOCK + 37])
 def test_blocked_spreader_matches_monolithic(R):
     # three blocks, the last one partial, in the caller's unsorted order; the
     # last node of the first block and the first of the second are 2e-12 apart,
-    # so one start index straddles the block edge
+    # so one start index straddles the block edge. R = 1 (K = 0: no negative
+    # band) folds its 31 padded points in 16 chunks, R = 7 (n = m) starts its
+    # first chunk at padded index 0, and R = 8's three chunks overlap around
+    # the circle.
     rng = np.random.default_rng(25)
     Q = 2 * _SPREAD_BLOCK + 37
     t = rng.permutation(jittered(Q - 1, rng, 0.99).instants)
@@ -321,6 +331,11 @@ def test_blocked_spreader_matches_monolithic(R):
     fine, values = spread.scatter(x), spread.gather(y)
     assert fine.tobytes() == _scatter_monolithic(spread, x).tobytes()
     assert values.tobytes() == _gather_monolithic(spread, y).tobytes()
+    # signed zeros: the bytes still match where terms are -0.0
+    x0, y0 = x.copy(), y.copy()
+    x0[::3], y0[::2] = complex(-0.0, -0.0), complex(-0.0, 0.0)
+    assert spread.scatter(x0).tobytes() == _scatter_monolithic(spread, x0).tobytes()
+    assert spread.gather(y0).tobytes() == _gather_monolithic(spread, y0).tobytes()
     # scaled by |x| |gather(y)|, the Cauchy-Schwarz bound on either side: the
     # roundoff of a sum of Q * taps terms grows with Q, and against |lhs| it
     # reaches ~1.3e-15 here
@@ -427,6 +442,19 @@ def test_spreader_footprint():
     assert spread.starts.shape == (P,) and spread.pulse.shape == (P, taps)
     nbytes = sum(arr.nbytes for arr in (spread.starts, spread.pulse, spread.phase))
     assert nbytes == P * (8 + 8 * taps + 16)
+
+
+def test_kernel_cache_holds_deconvolution_weights_alone():
+    # after an eta = 6 plan the two cached kernels (lengths P and 6P) hold their
+    # float64 deconvolution weights and no index table: 8 bytes per output point
+    P = 65536
+    kernel_for_size.cache_clear()
+    build_plan(jittered(P, np.random.default_rng(26)), MethodParams.from_mu(1e-15, P, eta=6))
+    assert kernel_for_size.cache_info().currsize == 2
+    kernels = (kernel_for_size(P), kernel_for_size(6 * P))
+    nbytes = sum(value.nbytes for k in kernels for value in vars(k).values()
+                 if isinstance(value, np.ndarray))
+    assert nbytes == 8 * 7 * P == 3670016
 
 
 def test_kernel_tables_positive_finite_immutable():
