@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Writes `nufft1d verify`, five small figure sweeps (fig6 once more at
+# Writes `nufft1d verify`, six small figure sweeps (fig3 once more with NFFT
+# beside R-NFFT, whose best-mu rows are kept per method; fig6 once more at
 # P = 300, where the direct oracle spans two phase row blocks) and six
 # transforms of one 64-node trial into OUTDIR: the outputs that a change
 # which claims to keep every result must leave byte-identical, so two trees
@@ -18,6 +19,7 @@ $NUFFT1D verify > "$out/verify.out"
 $NUFFT1D bench --figure fig1 --p 64 --trials 2 --out "$out/fig1.csv"
 $NUFFT1D bench --figure fig2 --p 64 --trials 1 --out "$out/fig2.csv"
 $NUFFT1D bench --figure fig3 --p 64 128 --trials 1 --out "$out/fig3.csv"
+$NUFFT1D bench --figure fig3 --p 64 --trials 1 --method NFFT R-NFFT --out "$out/fig3-nfft.csv"
 $NUFFT1D bench --figure fig6 --p 64 128 --trials 1 --out "$out/fig6.csv"
 $NUFFT1D bench --figure fig6 --p 300 --trials 1 --out "$out/fig6-p300.csv"
 $NUFFT1D bench --figure fig7 --p 64 --trials 1 --out "$out/fig7.csv"

@@ -44,7 +44,6 @@ from .grid import (
     MethodParams,
     NonuniformGrid,
     damping_from_mu,
-    mu_from_damping,
     validate_grid,
 )
 from .gridding import kernel_for_size
@@ -75,7 +74,6 @@ __all__ = [
     "generate_trial",
     "ge_solve",
     "kernel_for_size",
-    "mu_from_damping",
     "nfft_type1",
     "nfft_type1_direct",
     "nfft_type2",

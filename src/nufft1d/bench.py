@@ -16,6 +16,7 @@ Errors are relative l2 ratios, reported both linear and in dB as
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 
@@ -95,8 +96,11 @@ class TrialResult:
     seed: int
 
 
-def jittered(P, rng, jitter=JITTER_MAX):
-    return validate_grid(np.arange(P) / P + rng.uniform(0, jitter / P, P))
+def jittered(P, rng, jitter_max=JITTER_MAX):
+    """Node p at p/P + U[0, jitter_max/P); a jitter_max above 1 would let nodes cross."""
+    if not (isinstance(jitter_max, numbers.Real) and 0.0 <= jitter_max <= 1.0):
+        raise ValueError(f"jitter_max must be a real number in [0, 1], got {jitter_max!r}")
+    return validate_grid(np.arange(P) / P + rng.uniform(0, jitter_max / P, P))
 
 
 def randc(n, rng):
@@ -203,18 +207,18 @@ def run_sweep(config: TrialConfig) -> list[TrialResult]:
     return results
 
 
-def filter_best_mu(results: list[TrialResult], method: str) -> list[TrialResult]:
-    """Keep dense-solver rows plus, per (P, eta), the rows of ``method`` at the mu
-    with the smallest mean error over trials (sweep protocol); a tie keeps the
-    first mu in row order."""
-    errors: dict[tuple[int, int], dict[float, list[float]]] = {}
+def filter_best_mu(results: list[TrialResult]) -> list[TrialResult]:
+    """Keep dense-solver rows plus, per (P, eta, method), the rows at the mu with
+    the smallest mean error over trials (sweep protocol); a tie keeps the first
+    mu in row order."""
+    errors: dict[tuple[int, int, str], dict[float, list[float]]] = {}
     for r in results:
-        if r.method == method and r.mu is not None:
-            errors.setdefault((r.p, r.eta), {}).setdefault(r.mu, []).append(r.error_linear)
+        if r.mu is not None:
+            errors.setdefault((r.p, r.eta, r.method), {}).setdefault(r.mu, []).append(
+                r.error_linear)
     best = {cell: min(by_mu, key=lambda mu: sum(by_mu[mu]) / len(by_mu[mu]))
             for cell, by_mu in errors.items()}
-    return [r for r in results
-            if r.mu is None or (r.method == method and best.get((r.p, r.eta)) == r.mu)]
+    return [r for r in results if r.mu is None or best[r.p, r.eta, r.method] == r.mu]
 
 
 # Figure protocols. fig1: error floor vs mu for several eta at P = 1024;
@@ -267,7 +271,7 @@ def run_figure(name: str, config: TrialConfig | None = None, dense_cap: int | No
         # NFFT at eta = 6 plus the refined method at eta = 1 on the same trials
         results.extend(run_sweep(replace(cfg, eta=(1,), mu=(1e-8,), methods=(METHOD_RNFFT,))))
     if name in ("fig2", "fig3"):
-        results = filter_best_mu(results, METHOD_RNFFT)
+        results = filter_best_mu(results)
     meta = {
         "figure": name,
         "seed": cfg.seed,

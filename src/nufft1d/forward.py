@@ -1,4 +1,4 @@
-"""Forward nonuniform transforms (types 1 and 2) and nonuniform convolution.
+"""Forward nonuniform transforms (types 1 and 2) and the v stage's convolution.
 
 The fast paths use Gaussian gridding with oversampling factor two; the
 _direct variants are exact O(PQ) summations kept as oracles for tests and
@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import LengthMismatchError
 from .flops import FlopCounter, charge
-from .grid import NonuniformGrid, as_complex_vector, require_count, require_vector
+from .grid import NonuniformGrid, as_complex_vector, require_count
 from .gridding import GriddingKernel, Spreader, _cis_inplace, kernel_for_size, round_product
 
 _PHASE_BLOCK = 2**16   # entries per phase block, at least one row; bounds its temporaries
@@ -165,35 +165,28 @@ def nfft_type2_direct(coefficients, grid: NonuniformGrid) -> np.ndarray:
 
 def nonuniform_conv(
     grid: NonuniformGrid,
-    amplitudes,
-    lam_coefficients,
+    lam_coefficients: np.ndarray,
     P: int,
     spread: Spreader | None = None,
     flops: FlopCounter | None = None,
 ) -> np.ndarray:
-    """Samples of gamma(t) = sum_q a_q lam(t - t_q) on the regular grid {q/P}.
+    """The v stage's convolution: gamma(k/P) = sum_q lam(k/P - t_q) for k < P.
 
-    ``lam_coefficients`` holds the R spectral coefficients of the kernel
-    polynomial, R an integer multiple of P; a real ``lam`` stays real. One
-    type-1 transform of length R, on ``spread`` if given (a length-R
-    spreader for ``grid``), an aliasing fold down to length P, and one
-    unnormalized inverse FFT.
+    ``lam_coefficients`` is the real truncated series Lambda of
+    ``lagrange.series_coefficients``, of length R = eta P; it is convolved
+    with the grid's unit delta train. One type-1 transform of length R, on
+    ``spread`` if given (a length-R spreader for ``grid``), an aliasing fold
+    down to length P, and one unnormalized inverse FFT.
     """
-    P = require_count(P, "output length", 1)
-    lam = require_vector(lam_coefficients, name="lam_coefficients")
-    R = lam.size
-    if R % P != 0:
-        raise LengthMismatchError(f"kernel length {R} is not a multiple of output length {P}")
+    R = lam_coefficients.size
     eta = R // P
-    A = nfft_type1(grid, amplitudes, R, kernel=spread, flops=flops)
-    prod = lam * A
+    A = nfft_type1(grid, np.ones(grid.size, dtype=np.complex128), R, kernel=spread, flops=flops)
+    prod = lam_coefficients * A
     folded = prod.reshape(eta, P).sum(axis=0) if eta > 1 else prod
-    real = np.isrealobj(lam)
     charge(
         flops,
         ffts=(P,),
-        real_muls=2 * R if real else 0,     # kernel coefficients times spectrum
-        complex_muls=0 if real else R,
+        real_muls=2 * R,                    # series coefficients times spectrum
         complex_adds=(eta - 1) * P,         # aliasing fold
     )
-    return _idft_unnormalized(folded.astype(np.complex128, copy=False))
+    return _idft_unnormalized(folded)

@@ -34,12 +34,7 @@ def require_count(value, name: str, low: int) -> int:
 
 def as_complex_vector(values, length: int | None = None, name: str = "vector") -> np.ndarray:
     """Coerce to a finite 1-D complex128 array, optionally of fixed length."""
-    return require_vector(np.asarray(values, dtype=np.complex128), length, name)
-
-
-def require_vector(values, length: int | None = None, name: str = "vector") -> np.ndarray:
-    """``values`` as a finite 1-D array of its own dtype, optionally of fixed length."""
-    arr = np.asarray(values)
+    arr = np.asarray(values, dtype=np.complex128)
     if arr.ndim != 1:
         raise LengthMismatchError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
@@ -129,7 +124,7 @@ def _series_length(eta, P: int) -> int:
 def damping_from_mu(mu: float, P: int, eta: int) -> float:
     """Invert the truncation-ratio relation mu = exp(-2 pi (eta P - 1) a) / (eta P - 1).
 
-    Returns the damping a > 0 whose forward evaluation reproduces ``mu``.
+    Returns the damping a > 0 at which the relation gives back ``mu``.
     """
     _check_mu(mu)
     n = _series_length(eta, P) - 1
@@ -138,13 +133,6 @@ def damping_from_mu(mu: float, P: int, eta: int) -> float:
             f"mu * (eta P - 1) = {mu * n} >= 1: truncation too loose to need damping"
         )
     return -math.log(mu * n) / (2.0 * math.pi * n)
-
-
-def mu_from_damping(a: float, P: int, eta: int) -> float:
-    """Forward truncation ratio for a given damping a."""
-    _check_damping(a)
-    n = _series_length(eta, P) - 1
-    return math.exp(-2.0 * math.pi * n * a) / n
 
 
 @dataclass(frozen=True)

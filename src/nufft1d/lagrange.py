@@ -59,8 +59,7 @@ def compute_v_samples(
     P = grid.size
     R = _series_length(params.eta, P)
     lam = series_coefficients(params.damping_a, R, flops=flops)
-    ones = np.ones(P, dtype=np.complex128)
-    return nonuniform_conv(grid, ones, lam, P, spread=spread, flops=flops)
+    return nonuniform_conv(grid, lam, P, spread=spread, flops=flops)
 
 
 def kernel_samples_from_v(

@@ -23,7 +23,7 @@ from .forward import (
     nfft_type2_direct,
     nonuniform_conv,
 )
-from .grid import MethodParams, damping_from_mu, mu_from_damping, validate_grid
+from .grid import MethodParams, validate_grid
 from .inverse import build_plan, refine_type5, type4, type5
 from .lagrange import (
     compute_v_samples,
@@ -80,14 +80,6 @@ def derivative_direct(grid):
     return np.array([np.prod(z[j] - np.delete(z, j)) for j in range(grid.size)])
 
 
-def check_damping_round_trip():
-    for (mu, P, eta) in ((1e-13, 1024, 1), (1e-11, 64, 2), (1e-15, 4096, 6)):
-        a = damping_from_mu(mu, P, eta)
-        back = mu_from_damping(a, P, eta)
-        _require(abs(back - mu) / mu < 1e-12,
-                 f"truncation-ratio inversion off by {abs(back - mu) / mu:.2e}")
-
-
 def check_dft_naive():
     rng = np.random.default_rng(11)
     N = 8
@@ -126,9 +118,8 @@ def check_conv_oracle():
     rng = np.random.default_rng(15)
     P = 8
     grid = jittered(P, rng)
-    a = randc(P, rng)
-    lam = randc(2 * P, rng)
-    err = relative_error(conv_direct(grid, a, lam, P), nonuniform_conv(grid, a, lam, P))
+    lam = rng.standard_normal(2 * P)
+    err = relative_error(conv_direct(grid, np.ones(P), lam, P), nonuniform_conv(grid, lam, P))
     _require(err < 1e-11, f"nonuniform convolution off by {err:.2e}")
 
 
@@ -240,7 +231,6 @@ def check_flop_duality():
 
 # (name, callable), run in this order
 CHECKS = (
-    ("damping-round-trip", check_damping_round_trip),
     ("dft-naive-oracle", check_dft_naive),
     ("type1-direct-oracle", partial(check_forward_oracle, kind=1, seed=12)),
     ("type2-direct-oracle", partial(check_forward_oracle, kind=2, seed=13)),

@@ -8,7 +8,7 @@ PUBLIC = [
     "NonPositiveDampingError", "NonuniformGrid", "NufftError",
     "OutOfRangeError", "SingularDerivativeError", "SingularMatrixError", "TrialConfig",
     "TrialResult", "ZeroReferenceError", "build_plan", "cg_solve", "damping_from_mu",
-    "ge_solve", "generate_trial", "kernel_for_size", "mu_from_damping", "nfft_type1",
+    "ge_solve", "generate_trial", "kernel_for_size", "nfft_type1",
     "nfft_type1_direct", "nfft_type2", "nfft_type2_direct", "refine_type4", "refine_type5",
     "relative_error", "run_figure", "run_sweep", "type4", "type4_system", "type5",
     "type5_system", "validate_grid",

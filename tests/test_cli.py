@@ -270,10 +270,10 @@ def test_verify_quick(level, capsys):
     # full levels alike, and asking for a level is a usage error
     assert main(["verify"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines == [f"ok   {name}" for name, _ in CHECKS] and len(lines) == 15
+    assert lines == [f"ok   {name}" for name, _ in CHECKS] and len(lines) == 14
     extra = {"refinement-contraction", "flop-duality"}
     wanted = [name for name, _ in CHECKS if level == "full" or name not in extra]
-    assert len(wanted) == (15 if level == "full" else 13)
+    assert len(wanted) == (14 if level == "full" else 12)
     assert all(f"ok   {name}" in lines for name in wanted)
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--level", level])
@@ -312,6 +312,18 @@ def test_bench_smoke(tmp_path):
     assert text.startswith("# ")
     assert "figure=fig1" in text.splitlines()[0]
     assert len(text.splitlines()) > 3
+
+
+@pytest.mark.parametrize("methods", [["NFFT"], ["NFFT", "R-NFFT"]])
+def test_best_mu_figure_keeps_each_fast_method(methods, tmp_path, capsys):
+    # fig3 keeps, for each (P, eta) and each fast method asked for, the rows at
+    # that method's best mu: an NFFT-only sweep writes one row, not none
+    out = tmp_path / "fig3.csv"
+    assert main(["bench", "--figure", "fig3", "--p", "64", "--trials", "1",
+                 "--method", *methods, "--out", str(out)]) == 0
+    assert f"({len(methods)} rows)" in capsys.readouterr().out
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    assert [row[3] for row in rows] == methods and all(row[:2] == ["64", "1"] for row in rows)
 
 
 def test_bench_negative_passes_exit_code(tmp_path):

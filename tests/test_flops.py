@@ -16,7 +16,6 @@ from nufft1d import (
     type4_system,
     type5,
 )
-from nufft1d.bench import randc
 from nufft1d.flops import charge, fft_flops
 from nufft1d.forward import nonuniform_conv
 
@@ -158,18 +157,6 @@ def test_plan_flops_deterministic():
     assert c1.report() == c2.report()
 
 
-def test_conv_complex_kernel_charges_complex_muls():
-    rng = np.random.default_rng(6)
-    grid, _ = generate_trial(16, 7)
-    a = randc(16, rng)
-    lam_c = randc(32, rng)
-    c_complex, c_real = FlopCounter(), FlopCounter()
-    nonuniform_conv(grid, a, lam_c, 16, flops=c_complex)
-    nonuniform_conv(grid, a, np.abs(lam_c), 16, flops=c_real)
-    assert c_complex.report().complex_muls > c_real.report().complex_muls
-    assert c_real.report().real_muls > c_complex.report().real_muls
-
-
 _P16 = 16
 _GRID16, _A16 = generate_trial(_P16, 7)
 _LAM32 = np.exp(-np.arange(2 * _P16) / 4.0)
@@ -186,10 +173,8 @@ PINNED_P16 = [
                  (0, 464, 960, 16, 480, (32,)), id="type1"),
     pytest.param(lambda c: nfft_type2(_A16, _GRID16, flops=c),
                  (0, 464, 960, 16, 480, (32,)), id="type2"),
-    pytest.param(lambda c: nonuniform_conv(_GRID16, _A16, _LAM32, _P16, flops=c),
+    pytest.param(lambda c: nonuniform_conv(_GRID16, _LAM32, _P16, flops=c),
                  (0, 480, 1056, 16, 480, (64, 16)), id="conv-real"),
-    pytest.param(lambda c: nonuniform_conv(_GRID16, _A16, _LAM32 + 1j, _P16, flops=c),
-                 (0, 480, 992, 48, 480, (64, 16)), id="conv-complex"),
     pytest.param(lambda c: _plan16(1, c),
                  (48, 961, 2272, 80, 1057, (32, 16, 16, 32)), id="plan-eta1"),
     pytest.param(lambda c: _plan16(2, c),

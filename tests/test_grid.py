@@ -18,7 +18,6 @@ from nufft1d import (
     TrialConfig,
     build_plan,
     damping_from_mu,
-    mu_from_damping,
     nfft_type1,
     nfft_type2,
     type4,
@@ -127,10 +126,16 @@ def test_input_errors_are_value_errors():
     assert not issubclass(KernelOverflowError, ValueError)
 
 
+def truncation_ratio(a, P, eta):
+    """The closed form mu = e^{-2 pi n a} / n, n = eta P - 1, that damping_from_mu inverts."""
+    n = eta * P - 1
+    return math.exp(-2.0 * math.pi * n * a) / n
+
+
 def test_damping_round_trip_reference_case():
     a = damping_from_mu(1e-13, 1024, 1)
     assert a > 0
-    assert abs(mu_from_damping(a, 1024, 1) - 1e-13) / 1e-13 < 1e-12
+    assert abs(truncation_ratio(a, 1024, 1) - 1e-13) / 1e-13 < 1e-12
 
 
 def test_damping_unit_case():
@@ -155,8 +160,6 @@ def test_damping_helpers_reject_non_integer_P():
         with pytest.raises(ValueError, match=f"P must be an integer >= 1, got {P!r}"):
             damping_from_mu(1e-15, P, 1)
         with pytest.raises(ValueError, match="P must be an integer"):
-            mu_from_damping(0.1, P, 6)
-        with pytest.raises(ValueError, match="P must be an integer"):
             MethodParams.from_mu(1e-15, P, 1)
     assert damping_from_mu(1e-15, 16.0, 1) == damping_from_mu(1e-15, 16, 1)
 
@@ -170,17 +173,17 @@ def test_damping_mu_mutual_inverses(seed):
     if mu * (eta * P - 1) >= 1.0:
         mu = 0.5 / (eta * P - 1)
     a = damping_from_mu(mu, P, eta)
-    assert abs(mu_from_damping(a, P, eta) - mu) / mu < 1e-12
+    assert abs(truncation_ratio(a, P, eta) - mu) / mu < 1e-12
     # keep the forward ratio representable: 2 pi n a must stay below ~600
     n = eta * P - 1
     a2 = rng.uniform(1e-6, min(0.5, 600.0 / (2 * math.pi * n)))
-    mu2 = mu_from_damping(a2, P, eta)
+    mu2 = truncation_ratio(a2, P, eta)
     assert abs(damping_from_mu(mu2, P, eta) - a2) / a2 < 1e-12
 
 
 def test_method_params_factories():
     p = MethodParams.from_mu(1e-12, 256, 2)
-    assert abs(mu_from_damping(p.damping_a, 256, 2) - 1e-12) / 1e-12 < 1e-12
+    assert abs(truncation_ratio(p.damping_a, 256, 2) - 1e-12) / 1e-12 < 1e-12
     assert p == MethodParams(damping_a=damping_from_mu(1e-12, 256, 2), eta=2)
     # mu only fixes the damping, so it is not stored beside it; the gridding width is fixed
     assert [f.name for f in fields(MethodParams)] == ["damping_a", "eta"]
@@ -206,9 +209,9 @@ def test_method_params_validation():
     (lambda: MethodParams.from_mu("1e-9", 64), "1e-9"),
     (lambda: MethodParams(damping_a="0.1", eta=2), "0.1"),
     (lambda: damping_from_mu(None, 64, 1), None),
-    (lambda: mu_from_damping(1j, 64, 1), 1j),
+    (lambda: MethodParams(damping_a=1j, eta=2), 1j),
     (lambda: TrialConfig(mu=("1e-9",)), "1e-9"),
-], ids=["from_mu-str", "damping-str", "damping_from_mu-none", "mu_from_damping-complex",
+], ids=["from_mu-str", "damping-str", "damping_from_mu-none", "damping-complex",
         "config-mu-str"])
 def test_non_real_mu_or_damping_rejected(call, value):
     # the type is checked before any comparison, so a non-real value gets the named rule
