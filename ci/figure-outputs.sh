@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Writes `nufft1d verify`, six small figure sweeps (fig3 once more with NFFT
+# Writes `nufft1d verify`, seven small figure sweeps (fig3 once more with NFFT
 # beside R-NFFT, whose best-mu rows are kept per method; fig6 once more at
 # P = 300, where the direct oracle spans two phase row blocks) and six
 # transforms of one 64-node trial into OUTDIR: the outputs that a change

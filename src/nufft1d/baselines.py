@@ -22,6 +22,7 @@ from .errors import SingularMatrixError
 from .flops import FlopCounter, charge
 from .forward import _phase_blocks
 from .grid import NonuniformGrid, as_complex_vector, require_count
+from .gridding import kernel_for_size
 from .inverse import _transform_pair
 
 
@@ -105,7 +106,7 @@ def cg_solve(
     if not (isinstance(tol, numbers.Real) and 0.0 < tol < np.inf):
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
     P = grid.size
-    apply_A, apply_AH = _transform_pair(grid, which, flops)
+    apply_A, apply_AH = _transform_pair(grid, which, flops, kernel_for_size(P).spreader(grid))
     max_iter = 4 * P if max_iter is None else require_count(max_iter, "iteration cap", 0)
     b = as_complex_vector(rhs, length=P, name="rhs")
 

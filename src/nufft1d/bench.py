@@ -30,9 +30,11 @@ from .errors import (
     ZeroReferenceError,
 )
 from .flops import FlopCounter
-from .forward import _blocked_matvec, nfft_type1_direct
+from .forward import _blocked_matvec, _unit_spectrum, nfft_type1_direct
 from .grid import MethodParams, _check_mu, require_count, validate_grid
-from .inverse import build_plan, refine_type4
+from .gridding import kernel_for_size
+from .inverse import _plan_from_v, _refine
+from .lagrange import _v_samples_from_spectrum
 
 GE_SIZE_CAP = 8192
 
@@ -154,6 +156,15 @@ def run_sweep(config: TrialConfig) -> list[TrialResult]:
     one. Infeasible (mu, eta) pairs (truncation too loose to need damping)
     are skipped. Deliberately over-damped corners would also spam
     amplification warnings, so those are suppressed here.
+
+    A trial does its grid-level work once. One stored length-P spreader
+    serves every plan's gridded stages and every fast solve (CG builds its
+    own, in ``cg_solve``). The v stage's type-1 transform of the grid's unit
+    delta train does not depend on mu, so it is computed once per eta and
+    shared by the plans of every mu. R-NFFT's pass starts from the NFFT
+    row's iterate when NFFT is requested. Every row still has the bytes and
+    the flop total of its method run alone: shared work is charged to each
+    row's counter where that method would have charged it.
     """
     results: list[TrialResult] = []
     if METHOD_GE in config.methods and max(config.p) > GE_SIZE_CAP:
@@ -191,19 +202,30 @@ def run_sweep(config: TrialConfig) -> list[TrialResult]:
                     record(METHOD_CG, res.solution, counter, cg_iterations=res.iterations)
                 if not fast:
                     continue
+                spread = kernel_for_size(P).spreader(grid)
                 for eta in config.eta:
+                    cells = []
                     for mu in config.mu:
                         try:
-                            params = MethodParams.from_mu(mu, P, eta)
+                            cells.append((mu, MethodParams.from_mu(mu, P, eta)))
                         except NonPositiveDampingError:
                             continue
+                    if not cells:
+                        continue
+                    unit_counter = FlopCounter()
+                    unit = _unit_spectrum(grid, eta * P, spread if eta == 1 else None, unit_counter)
+                    for mu, params in cells:
                         plan_counter = FlopCounter()
-                        plan = build_plan(grid, params, flops=plan_counter)
+                        v = _v_samples_from_spectrum(params, unit, unit_counter, plan_counter)
+                        plan = _plan_from_v(grid, params, v, spread, plan_counter)
+                        # R-NFFT's pass starts from the NFFT row's iterate and counter
+                        x, before = None, plan_counter
                         for method, passes in fast:
                             counter = FlopCounter()
-                            counter.merge(plan_counter)
-                            x = refine_type4(plan, spectrum, passes=passes, flops=counter)
+                            counter.merge(before)
+                            x = _refine(plan, spectrum, passes, "type4", counter, spread, x)
                             record(method, x, counter, eta, mu)
+                            before = counter
     return results
 
 

@@ -21,8 +21,8 @@ indices (as NFFT3 keeps a compact per-node window; Keiner, Kunis, Potts,
 ACM TOMS 36(4), 2009). A stored spreader keeps start indices, pulse
 weights and band-shift phases, 8 + 8 * taps + 16 = 256 bytes per
 instant, computed once for the transforms that reuse a grid (a plan at
-eta = 1, a refined solve, CG). A one-off transform, a plain solve's
-among them, streams its taps: its spreader keeps the phases alone, 16
+eta = 1, a refined solve, CG, a ``run_sweep`` trial). A one-off
+transform, a plain solve's among them, streams its taps: its spreader keeps the phases alone, 16
 bytes per instant, and computes each block's start indices and weights
 as scatter or gather reaches it, as FINUFFT evaluates kernel values on
 the fly and NFFT3 precomputes them only on request (``PRE_PSI``).
@@ -186,7 +186,7 @@ class Spreader:
     ``kernel.weights``. A stored spreader (``GriddingKernel.spreader``)
     keeps the (Q,) ``starts`` and (Q, taps) ``pulse``, 240 more bytes per
     instant, for transforms that reuse the grid (a plan at eta = 1, a
-    refined solve, CG); a streamed one (``GriddingKernel.streamed_spreader``)
+    refined solve, CG, a ``run_sweep`` trial); a streamed one (``GriddingKernel.streamed_spreader``)
     has both None and computes a block's starts and weights when
     ``scatter`` or ``gather`` reaches it. Either way the two walk the
     instants in blocks of ``_SPREAD_BLOCK``, so their taps, flat tap

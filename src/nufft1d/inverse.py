@@ -22,7 +22,7 @@ import numpy as np
 from .flops import FlopCounter, charge
 from .forward import _idft_unnormalized, nfft_type1, nfft_type2
 from .grid import MethodParams, NonuniformGrid, as_complex_vector, require_count
-from .gridding import GriddingKernel, cis_cycles, kernel_for_size, round_product
+from .gridding import GriddingKernel, Spreader, cis_cycles, kernel_for_size, round_product
 from .lagrange import (
     compute_v_samples,
     derivative_samples,
@@ -69,11 +69,20 @@ def build_plan(
     flops: FlopCounter | None = None,
 ) -> InversePlan:
     """Precompute everything grid-dependent for type-4/type-5 solves."""
+    # at eta = 1 both gridded stages are length P, so they share one spreader
+    spread = kernel_for_size(grid.size).spreader(grid) if params.eta == 1 else None
+    v = compute_v_samples(grid, params, spread=spread, flops=flops)
+    return _plan_from_v(grid, params, v, spread, flops)
+
+
+def _plan_from_v(grid: NonuniformGrid, params: MethodParams, v, spread, flops) -> InversePlan:
+    """``build_plan``'s stages after the v stage, given its samples ``v``.
+
+    ``spread``, if given, is a stored length-P spreader of ``grid`` for the
+    derivative stage; without it that transform streams its taps.
+    """
     P = grid.size
     a = params.damping_a
-    # at eta = 1 both gridded stages are length P, so they share one spreader
-    spread = kernel_for_size(P).spreader(grid) if params.eta == 1 else None
-    v = compute_v_samples(grid, params, spread=spread, flops=flops)
     ks = kernel_samples_from_v(v, grid, flops=flops)
     coeffs = kernel_coefficients(ks, params, flops=flops)
     dL = derivative_samples(coeffs, grid, spread=spread, flops=flops)
@@ -142,33 +151,41 @@ def _type4(plan: InversePlan, A: np.ndarray, type2, flops) -> np.ndarray:
     return s_nodes * plan.node_weights
 
 
-def _transform_pair(grid: NonuniformGrid, kind: str, flops, store: bool = True):
+def _transform_pair(grid: NonuniformGrid, kind: str, flops, spread: Spreader | None = None):
     """The system matrix A of a ``kind`` system and its Hermitian transpose, as fast transforms.
 
     Type 4's A is the type-1 transform and type 5's the type-2 one, both of
-    length P. Store when the call makes more than one transform: then one
-    spreader of ``grid`` is built here and shared by every product. A call
-    that makes one transform passes ``store=False``, and it streams its taps.
+    length P. ``spread`` is a stored length-P spreader of ``grid`` that
+    every product shares, for a call that makes more than one transform;
+    with None each transform streams its taps.
     """
     if kind not in ("type4", "type5"):
         raise ValueError(f"unknown system kind {kind!r}")
     P = grid.size
-    spread = kernel_for_size(P).spreader(grid) if store else None
     type1 = lambda x: nfft_type1(grid, x, P, kernel=spread, flops=flops)
     type2 = lambda y: nfft_type2(y, grid, kernel=spread, flops=flops)
     return (type1, type2) if kind == "type4" else (type2, type1)
 
 
-def _refine(plan: InversePlan, data, passes: int, kind: str, flops) -> np.ndarray:
-    """Solve, then up to ``passes`` residual corrections; the one path of every inverse solve."""
+def _refine(plan: InversePlan, data, passes: int, kind: str, flops, spread=None, x=None):
+    """Solve, then up to ``passes`` residual corrections; the one path of every inverse solve.
+
+    ``spread``, if given, is a stored length-P spreader of the plan's grid
+    for every transform; without it a refined solve builds one and a plain
+    solve, which makes one transform, streams its taps. ``x``, if given, is
+    the plain solve of this plan and data, already charged to ``flops``:
+    the corrections start from it.
+    """
     name, solve = ("spectrum", _type4) if kind == "type4" else ("samples", _type5)
     data = as_complex_vector(data, length=plan.size, name=name)
     passes = require_count(passes, "refinement passes", 0)
-    # only a refined solve makes more than one transform; each solve applies
-    # the transpose of the transform it inverts
-    forward, adjoint = _transform_pair(plan.grid, kind, flops, store=passes > 0)
-    x = solve(plan, data, adjoint, flops)
     P = plan.size
+    if spread is None and passes > 0:
+        spread = kernel_for_size(P).spreader(plan.grid)
+    # each solve applies the transpose of the transform it inverts
+    forward, adjoint = _transform_pair(plan.grid, kind, flops, spread)
+    if x is None:
+        x = solve(plan, data, adjoint, flops)
     best, best_norm = None, None
     for _ in range(passes):
         residual = forward(x) - data

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import AmplificationWarning, KernelOverflowError, SingularDerivativeError
 from .flops import FlopCounter, charge
-from .forward import nfft_type2, nonuniform_conv
+from .forward import _conv_from_spectrum, nfft_type2, nonuniform_conv
 from .grid import MethodParams, NonuniformGrid, _series_length, as_complex_vector
 from .gridding import Spreader, sum_cycles
 
@@ -60,6 +60,21 @@ def compute_v_samples(
     R = _series_length(params.eta, P)
     lam = series_coefficients(params.damping_a, R, flops=flops)
     return nonuniform_conv(grid, lam, P, spread=spread, flops=flops)
+
+
+def _v_samples_from_spectrum(params: MethodParams, unit, unit_flops: FlopCounter, flops):
+    """``compute_v_samples`` given the convolution's grid-only half.
+
+    ``unit`` is the length-eta P type-1 transform of the grid's unit delta
+    train (``forward._unit_spectrum``), which does not depend on the
+    damping, so one serves every mu at one eta. ``unit_flops`` holds what
+    computing it cost; that is charged to ``flops`` where
+    ``compute_v_samples`` would charge it, so the totals and the order of
+    the FFT sizes are the same.
+    """
+    lam = series_coefficients(params.damping_a, unit.size, flops=flops)
+    charge(flops, unit_flops.fft_sizes, **unit_flops.counts)
+    return _conv_from_spectrum(lam, unit, unit.size // params.eta, flops)
 
 
 def kernel_samples_from_v(

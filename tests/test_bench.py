@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 from functools import partial
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from nufft1d import (
+    AmplificationWarning,
     FlopCounter,
     LengthMismatchError,
     MethodParams,
@@ -13,6 +15,8 @@ from nufft1d import (
     TrialConfig,
     ZeroReferenceError,
     build_plan,
+    cg_solve,
+    ge_solve,
     generate_trial,
     nfft_type1_direct,
     refine_type4,
@@ -20,8 +24,11 @@ from nufft1d import (
     run_figure,
     run_sweep,
     type4,
+    type4_system,
 )
 from nufft1d.bench import (
+    ALL_METHODS,
+    CG_TOL,
     FIGURE_DEFAULTS,
     METHOD_CG,
     METHOD_GE,
@@ -169,13 +176,13 @@ def test_fast_rows_share_one_plan(monkeypatch):
     import nufft1d.bench as bench
 
     calls = []
-    real = bench.build_plan
+    real = bench._plan_from_v    # build_plan's stages after the shared v-stage spectrum
 
-    def counted(grid, params, **kwargs):
+    def counted(grid, params, *args):
         calls.append(params)
-        return real(grid, params, **kwargs)
+        return real(grid, params, *args)
 
-    monkeypatch.setattr(bench, "build_plan", counted)
+    monkeypatch.setattr(bench, "_plan_from_v", counted)
     cfg = TrialConfig(p=(32,), eta=(1, 2), mu=(0.5, 0.02, 1e-10), trials=2, seed=5,
                       methods=(METHOD_CG, METHOD_NFFT, METHOD_RNFFT))
     rows = run_sweep(cfg)
@@ -368,3 +375,65 @@ def test_sweep_rows_same_with_and_without_ge(P):
     without_ge = run_sweep(replace(cfg, methods=(METHOD_CG, METHOD_NFFT, METHOD_RNFFT)))
     assert with_ge[0].method == METHOD_GE
     assert repr([r for r in with_ge if r.method != METHOD_GE]) == repr(without_ge)
+
+
+def _rows_run_alone(cfg):
+    """``run_sweep(cfg)``'s rows, each from its method run alone, with its own counter.
+
+    The spectrum is the direct summation, which ``run_sweep`` documents its
+    spectrum to equal byte for byte; a fast row builds its own plan.
+    """
+    rows = []
+    for P in cfg.p:
+        for trial in range(cfg.trials):
+            seed = cfg.seed ^ trial
+            grid, a_true = generate_trial(P, seed)
+            spectrum = nfft_type1_direct(grid, a_true, P)
+
+            def row(method, x, counter, eta=None, mu=None, cg_iterations=None):
+                err = relative_error(a_true, x)
+                rows.append(TrialResult(
+                    p=P, eta=eta, mu=mu, method=method, trial=trial, error_linear=err,
+                    error_db=to_db(err), total_flops=counter.report().total_flops,
+                    cg_iterations=cg_iterations, seed=seed))
+
+            if METHOD_GE in cfg.methods:
+                counter = FlopCounter()
+                row(METHOD_GE, ge_solve(type4_system(grid, flops=counter), spectrum, flops=counter),
+                    counter)
+            if METHOD_CG in cfg.methods:
+                counter = FlopCounter()
+                res = cg_solve(grid, spectrum, "type4", tol=CG_TOL, flops=counter)
+                row(METHOD_CG, res.solution, counter, cg_iterations=res.iterations)
+            for eta in cfg.eta:
+                for mu in cfg.mu:
+                    try:
+                        params = MethodParams.from_mu(mu, P, eta)
+                    except NonPositiveDampingError:
+                        continue
+                    for method, passes in ((METHOD_NFFT, 0), (METHOD_RNFFT, 1)):
+                        if method in cfg.methods:
+                            counter = FlopCounter()
+                            plan = build_plan(grid, params, flops=counter)
+                            x = refine_type4(plan, spectrum, passes=passes, flops=counter)
+                            row(method, x, counter, eta, mu)
+    return rows
+
+
+@pytest.mark.parametrize("P", [64, 300])
+@pytest.mark.parametrize("eta, methods", [
+    ((1, 2, 6), ALL_METHODS),
+    ((1, 2, 6), (METHOD_CG, METHOD_NFFT, METHOD_RNFFT)),
+    ((1, 2, 6), (METHOD_RNFFT,)),
+    ((1, 2, 6), (METHOD_NFFT,)),
+    ((1, 1), ALL_METHODS),
+], ids=["all", "no-GE", "R-NFFT", "NFFT", "eta-1-1"])
+def test_every_sweep_row_equals_its_method_run_alone(P, eta, methods):
+    # bytes, dB values, flop totals and CG iterations, whatever the sweep shares
+    # between a trial's cells and rows; mu 1e-2 is infeasible but at P = 64, eta = 1
+    cfg = TrialConfig(p=(P,), eta=eta, mu=(1e-15, 1e-8, 1e-2), trials=2, seed=11,
+                      methods=methods)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AmplificationWarning)   # as run_sweep does
+        alone = _rows_run_alone(cfg)
+    assert run_sweep(cfg) == alone
