@@ -105,14 +105,16 @@ def cg_solve(
     """
     if not (isinstance(tol, numbers.Real) and 0.0 < tol < np.inf):
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
+    if which not in ("type4", "type5"):
+        raise ValueError(f"unknown system kind {which!r}")
     P = grid.size
-    apply_A, apply_AH = _transform_pair(grid, which, flops, kernel_for_size(P).spreader(grid))
     max_iter = 4 * P if max_iter is None else require_count(max_iter, "iteration cap", 0)
     b = as_complex_vector(rhs, length=P, name="rhs")
 
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return CGResult(np.zeros(P, dtype=np.complex128), 0, True, 0.0)
+    apply_A, apply_AH = _transform_pair(grid, which, flops, kernel_for_size(P).spreader(grid))
 
     x = np.zeros(P, dtype=np.complex128)
     r = b.copy()

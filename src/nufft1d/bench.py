@@ -30,11 +30,10 @@ from .errors import (
     ZeroReferenceError,
 )
 from .flops import FlopCounter
-from .forward import _blocked_matvec, _unit_spectrum, nfft_type1_direct
+from .forward import _blocked_matvec, nfft_type1, nfft_type1_direct
 from .grid import MethodParams, _check_mu, require_count, validate_grid
 from .gridding import kernel_for_size
-from .inverse import _plan_from_v, _refine
-from .lagrange import _v_samples_from_spectrum
+from .inverse import _plan, _refine
 
 GE_SIZE_CAP = 8192
 
@@ -159,12 +158,13 @@ def run_sweep(config: TrialConfig) -> list[TrialResult]:
 
     A trial does its grid-level work once. One stored length-P spreader
     serves every plan's gridded stages and every fast solve (CG builds its
-    own, in ``cg_solve``). The v stage's type-1 transform of the grid's unit
-    delta train does not depend on mu, so it is computed once per eta and
-    shared by the plans of every mu. R-NFFT's pass starts from the NFFT
-    row's iterate when NFFT is requested. Every row still has the bytes and
-    the flop total of its method run alone: shared work is charged to each
-    row's counter where that method would have charged it.
+    own, in ``cg_solve``). The v stage's input, the type-1 transform of the
+    grid's unit delta train, does not depend on mu, so it is computed once
+    per eta, as ``build_plan`` computes it, and every mu's plan runs
+    ``build_plan``'s stages on it. R-NFFT's pass starts from the NFFT row's
+    iterate when NFFT is requested. Every row still has the bytes and the
+    flop total of its method run alone: each plan's counter starts from the
+    spectrum's charge, which ``build_plan`` also charges first.
     """
     results: list[TrialResult] = []
     if METHOD_GE in config.methods and max(config.p) > GE_SIZE_CAP:
@@ -213,11 +213,12 @@ def run_sweep(config: TrialConfig) -> list[TrialResult]:
                     if not cells:
                         continue
                     unit_counter = FlopCounter()
-                    unit = _unit_spectrum(grid, eta * P, spread if eta == 1 else None, unit_counter)
+                    unit = nfft_type1(grid, np.ones(P, dtype=np.complex128), eta * P,
+                                      kernel=spread if eta == 1 else None, flops=unit_counter)
                     for mu, params in cells:
                         plan_counter = FlopCounter()
-                        v = _v_samples_from_spectrum(params, unit, unit_counter, plan_counter)
-                        plan = _plan_from_v(grid, params, v, spread, plan_counter)
+                        plan_counter.merge(unit_counter)
+                        plan = _plan(grid, params, unit, spread, plan_counter)
                         # R-NFFT's pass starts from the NFFT row's iterate and counter
                         x, before = None, plan_counter
                         for method, passes in fast:

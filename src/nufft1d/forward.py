@@ -163,43 +163,25 @@ def nfft_type2_direct(coefficients, grid: NonuniformGrid) -> np.ndarray:
     return _direct(grid.instants, np.arange(S.size), +1, S)
 
 
-def _unit_spectrum(grid: NonuniformGrid, R: int, spread: Spreader | None, flops) -> np.ndarray:
-    """The type-1 transform of length R of the grid's unit delta train.
-
-    The half of ``nonuniform_conv`` that depends on the grid alone, so one
-    spectrum serves every series of length R on the grid. ``spread`` is as
-    for ``nonuniform_conv``.
-    """
-    return nfft_type1(grid, np.ones(grid.size, dtype=np.complex128), R, kernel=spread, flops=flops)
-
-
 def nonuniform_conv(
-    grid: NonuniformGrid,
+    unit: np.ndarray,
     lam_coefficients: np.ndarray,
     P: int,
-    spread: Spreader | None = None,
     flops: FlopCounter | None = None,
 ) -> np.ndarray:
     """The v stage's convolution: gamma(k/P) = sum_q lam(k/P - t_q) for k < P.
 
     ``lam_coefficients`` is the real truncated series Lambda of
     ``lagrange.series_coefficients``, of length R = eta P; it is convolved
-    with the grid's unit delta train. One type-1 transform of length R, on
-    ``spread`` if given (a length-R spreader for ``grid``), an aliasing fold
-    down to length P, and one unnormalized inverse FFT.
-    """
-    A = _unit_spectrum(grid, lam_coefficients.size, spread, flops)
-    return _conv_from_spectrum(lam_coefficients, A, P, flops)
-
-
-def _conv_from_spectrum(lam_coefficients: np.ndarray, A: np.ndarray, P: int, flops) -> np.ndarray:
-    """``nonuniform_conv`` given A, the grid's ``_unit_spectrum`` of length R.
-
-    The series times A, the aliasing fold down to length P and the inverse FFT.
+    with the grid's unit delta train, given by ``unit``, its length-R
+    type-1 transform ``nfft_type1(grid, ones, R)``. That spectrum depends on
+    the grid alone, so one serves every series of length R on the grid.
+    The series times ``unit``, an aliasing fold down to length P, and one
+    unnormalized inverse FFT.
     """
     R = lam_coefficients.size
     eta = R // P
-    prod = lam_coefficients * A
+    prod = lam_coefficients * unit
     folded = prod.reshape(eta, P).sum(axis=0) if eta > 1 else prod
     charge(
         flops,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .flops import FlopCounter, charge
 from .forward import _idft_unnormalized, nfft_type1, nfft_type2
-from .grid import MethodParams, NonuniformGrid, as_complex_vector, require_count
+from .grid import MethodParams, NonuniformGrid, _series_length, as_complex_vector, require_count
 from .gridding import GriddingKernel, Spreader, cis_cycles, kernel_for_size, round_product
 from .lagrange import (
     compute_v_samples,
@@ -71,18 +71,21 @@ def build_plan(
     """Precompute everything grid-dependent for type-4/type-5 solves."""
     # at eta = 1 both gridded stages are length P, so they share one spreader
     spread = kernel_for_size(grid.size).spreader(grid) if params.eta == 1 else None
-    v = compute_v_samples(grid, params, spread=spread, flops=flops)
-    return _plan_from_v(grid, params, v, spread, flops)
+    R = _series_length(params.eta, grid.size)
+    unit = nfft_type1(grid, np.ones(grid.size, dtype=np.complex128), R, kernel=spread, flops=flops)
+    return _plan(grid, params, unit, spread, flops)
 
 
-def _plan_from_v(grid: NonuniformGrid, params: MethodParams, v, spread, flops) -> InversePlan:
-    """``build_plan``'s stages after the v stage, given its samples ``v``.
+def _plan(grid: NonuniformGrid, params: MethodParams, unit, spread, flops) -> InversePlan:
+    """``build_plan``'s stages, given the v stage's ``unit`` spectrum of ``grid``.
 
-    ``spread``, if given, is a stored length-P spreader of ``grid`` for the
-    derivative stage; without it that transform streams its taps.
+    ``unit`` is as for ``compute_v_samples``. ``spread``, if given, is a
+    stored length-P spreader of ``grid`` for the derivative stage; without
+    it that transform streams its taps.
     """
     P = grid.size
     a = params.damping_a
+    v = compute_v_samples(unit, params, flops=flops)
     ks = kernel_samples_from_v(v, grid, flops=flops)
     coeffs = kernel_coefficients(ks, params, flops=flops)
     dL = derivative_samples(coeffs, grid, spread=spread, flops=flops)

@@ -5,8 +5,9 @@ L(z) = prod_p (z - e^{2 pi i t_p}) with unit leading coefficient. The
 inversion pipeline needs four derived quantities per grid: the log-sum
 v(q/P), the damped kernel samples L(e^{2 pi i (q/P + i a)}), the
 coefficients L_0..L_{P-1}, and the derivative values L'(e^{2 pi i t_p});
-``inverse.build_plan`` runs the four stages in that order, passing the two
-gridded ones one shared ``spread`` (a ``gridding.Spreader``) at eta = 1.
+``inverse.build_plan`` runs the four stages in that order. The v stage
+takes the grid's unit delta train transformed to length eta P, which a
+sweep shares between the dampings of one eta.
 Everything here is computed through FFT-sized operations; the O(P^2)
 brute-force counterparts live in ``nufft1d.verify`` as oracles.
 """
@@ -19,8 +20,8 @@ import numpy as np
 
 from .errors import AmplificationWarning, KernelOverflowError, SingularDerivativeError
 from .flops import FlopCounter, charge
-from .forward import _conv_from_spectrum, nfft_type2, nonuniform_conv
-from .grid import MethodParams, NonuniformGrid, _series_length, as_complex_vector
+from .forward import nfft_type2, nonuniform_conv
+from .grid import MethodParams, NonuniformGrid, as_complex_vector
 from .gridding import Spreader, sum_cycles
 
 # exp(|Re v|) must stay clear of the double-precision overflow threshold
@@ -44,37 +45,20 @@ def series_coefficients(damping_a: float, R: int, flops: FlopCounter | None = No
 
 
 def compute_v_samples(
-    grid: NonuniformGrid,
+    unit: np.ndarray,
     params: MethodParams,
-    spread: Spreader | None = None,
     flops: FlopCounter | None = None,
 ) -> np.ndarray:
     """v(q/P) = sum_p log(1 - e^{2 pi i (q/P - t_p + i a)}), via one nonuniform
     convolution of the truncated series against the node delta train.
 
-    Truncation error is of order mu per node (the tail of the series past
-    index eta P - 1). ``spread``, if given, is a length-eta P spreader for
-    ``grid``; without it the transform builds its own.
-    """
-    P = grid.size
-    R = _series_length(params.eta, P)
-    lam = series_coefficients(params.damping_a, R, flops=flops)
-    return nonuniform_conv(grid, lam, P, spread=spread, flops=flops)
-
-
-def _v_samples_from_spectrum(params: MethodParams, unit, unit_flops: FlopCounter, flops):
-    """``compute_v_samples`` given the convolution's grid-only half.
-
-    ``unit`` is the length-eta P type-1 transform of the grid's unit delta
-    train (``forward._unit_spectrum``), which does not depend on the
-    damping, so one serves every mu at one eta. ``unit_flops`` holds what
-    computing it cost; that is charged to ``flops`` where
-    ``compute_v_samples`` would charge it, so the totals and the order of
-    the FFT sizes are the same.
+    ``unit`` is the grid's unit delta train transformed to length eta P,
+    ``forward.nfft_type1(grid, ones, eta P)``. It does not depend on the
+    damping, so one serves every damping at one eta. Truncation error is of
+    order mu per node (the tail of the series past index eta P - 1).
     """
     lam = series_coefficients(params.damping_a, unit.size, flops=flops)
-    charge(flops, unit_flops.fft_sizes, **unit_flops.counts)
-    return _conv_from_spectrum(lam, unit, unit.size // params.eta, flops)
+    return nonuniform_conv(unit, lam, unit.size // params.eta, flops=flops)
 
 
 def kernel_samples_from_v(

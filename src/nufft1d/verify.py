@@ -119,7 +119,8 @@ def check_conv_oracle():
     P = 8
     grid = jittered(P, rng)
     lam = rng.standard_normal(2 * P)
-    err = relative_error(conv_direct(grid, np.ones(P), lam, P), nonuniform_conv(grid, lam, P))
+    unit = nfft_type1(grid, np.ones(P), 2 * P)
+    err = relative_error(conv_direct(grid, np.ones(P), lam, P), nonuniform_conv(unit, lam, P))
     _require(err < 1e-11, f"nonuniform convolution off by {err:.2e}")
 
 
@@ -129,11 +130,15 @@ def _small_plan(P, rng, mu=1e-11):
     return grid, params
 
 
+def _v_samples(grid, params):
+    return compute_v_samples(nfft_type1(grid, np.ones(grid.size), params.eta * grid.size), params)
+
+
 def check_v_samples():
     rng = np.random.default_rng(16)
     P, mu = 8, 1e-11
     grid, params = _small_plan(P, rng, mu)
-    v = compute_v_samples(grid, params)
+    v = _v_samples(grid, params)
     tol = 10 * mu * P + 1e-12
     err = float(np.abs(v - v_direct(grid, params.damping_a)).max())
     _require(err < tol, f"log-sum samples off by {err:.2e} (tolerance {tol:.2e})")
@@ -143,7 +148,7 @@ def check_kernel_samples():
     rng = np.random.default_rng(17)
     P = 8
     grid, params = _small_plan(P, rng)
-    ks = kernel_samples_from_v(compute_v_samples(grid, params), grid)
+    ks = kernel_samples_from_v(_v_samples(grid, params), grid)
     err = relative_error(kernel_samples_direct(grid, params.damping_a), ks)
     _require(err < 1e-11, f"kernel samples off by {err:.2e}")
 
@@ -152,7 +157,7 @@ def check_coefficient_recovery():
     rng = np.random.default_rng(18)
     P = 8
     grid, params = _small_plan(P, rng)
-    ks = kernel_samples_from_v(compute_v_samples(grid, params), grid)
+    ks = kernel_samples_from_v(_v_samples(grid, params), grid)
     coeffs = kernel_coefficients(ks, params)
     poly = polynomial_coefficients(grid)
     err = relative_error(poly[:P], coeffs)
@@ -164,7 +169,7 @@ def check_derivative_oracle():
     rng = np.random.default_rng(19)
     for P in (8, 32):
         grid, params = _small_plan(P, rng)
-        ks = kernel_samples_from_v(compute_v_samples(grid, params), grid)
+        ks = kernel_samples_from_v(_v_samples(grid, params), grid)
         dL = derivative_samples(kernel_coefficients(ks, params), grid)
         err = relative_error(derivative_direct(grid), dL)
         _require(err < 1e-10, f"derivative samples off by {err:.2e} at P={P}")

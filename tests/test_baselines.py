@@ -87,11 +87,12 @@ def test_ge_solve_duality_relation():
     assert abs(lhs - rhs) / abs(rhs) < 1e-10
 
 
-def test_cg_zero_rhs():
+def test_cg_zero_rhs(geometry_calls):
     grid, _ = generate_trial(16, 5)
     res = cg_solve(grid, np.zeros(16, dtype=complex))
     assert res.iterations == 0 and res.converged
     assert np.all(res.solution == 0)
+    assert geometry_calls == []     # returned before any spreader is built
 
 
 def test_cg_uniform_grid_single_iteration():
@@ -133,21 +134,27 @@ def test_cg_iteration_cap():
     res = cg_solve(grid, b, tol=1e-15, max_iter=2)
     assert not res.converged
     assert res.iterations == 2
-    assert np.linalg.norm(res.solution) > 0  # best iterate returned
+    assert np.linalg.norm(res.solution) > 0  # last iterate returned
     assert res.relative_residual > 0
 
 
-def test_cg_rejects_bad_arguments():
+def test_cg_rejects_bad_arguments(geometry_calls):
     grid, _ = generate_trial(8, 1)
     for tol in (0.0, np.nan, np.inf, "1e-9", None, 1j):
         with pytest.raises(ValueError, match="tolerance must be positive and finite"):
             cg_solve(grid, np.ones(8), tol=tol)
     with pytest.raises(ValueError):
         cg_solve(grid, np.ones(8), which="type3")
+    with pytest.raises(ValueError, match="unknown system kind"):
+        cg_solve(grid, np.zeros(8), which="type3")
     with pytest.raises(ValueError):
         cg_solve(grid, np.ones(8), max_iter=-3)
     with pytest.raises(ValueError):
         cg_solve(grid, np.ones(8), max_iter=2.5)
+    with pytest.raises(LengthMismatchError):
+        cg_solve(grid, np.ones(7))
+    # every argument is checked before the O(P taps) spreader build
+    assert geometry_calls == []
 
 
 @pytest.mark.parametrize("which", ["type4", "type5"])

@@ -176,13 +176,18 @@ def test_fast_rows_share_one_plan(monkeypatch):
     import nufft1d.bench as bench
 
     calls = []
-    real = bench._plan_from_v    # build_plan's stages after the shared v-stage spectrum
+    real = bench._plan    # build_plan's stages on the shared v-stage spectrum
 
     def counted(grid, params, *args):
         calls.append(params)
         return real(grid, params, *args)
 
-    monkeypatch.setattr(bench, "_plan_from_v", counted)
+    monkeypatch.setattr(bench, "_plan", counted)
+    # the grid-level work the plans share: the v stage's unit-delta-train
+    # spectrum and the stored length-P spreader's kernel
+    shared = {"nfft_type1": [], "kernel_for_size": []}
+    for name, log in shared.items():
+        monkeypatch.setattr(bench, name, partial(_logged, getattr(bench, name), log))
     cfg = TrialConfig(p=(32,), eta=(1, 2), mu=(0.5, 0.02, 1e-10), trials=2, seed=5,
                       methods=(METHOD_CG, METHOD_NFFT, METHOD_RNFFT))
     rows = run_sweep(cfg)
@@ -190,9 +195,17 @@ def test_fast_rows_share_one_plan(monkeypatch):
     assert cells == {(1, 0.02), (1, 1e-10), (2, 1e-10)}
     assert len(calls) == len(cells) * cfg.trials
     assert sum(r.mu is not None for r in rows) == 2 * len(calls)
+    # one spectrum per (trial, eta with a feasible cell), one kernel per trial
+    assert len(shared["nfft_type1"]) == len({(r.trial, r.eta) for r in rows if r.mu is not None})
+    assert len(shared["kernel_for_size"]) == cfg.trials
     calls.clear()
     run_sweep(replace(cfg, methods=(METHOD_GE, METHOD_CG)))
     assert calls == []
+
+
+def _logged(function, log, *args, **kwargs):
+    log.append(args)
+    return function(*args, **kwargs)
 
 
 def test_ge_size_cap_enforced():

@@ -173,7 +173,8 @@ PINNED_P16 = [
                  (0, 464, 960, 16, 480, (32,)), id="type1"),
     pytest.param(lambda c: nfft_type2(_A16, _GRID16, flops=c),
                  (0, 464, 960, 16, 480, (32,)), id="type2"),
-    pytest.param(lambda c: nonuniform_conv(_GRID16, _LAM32, _P16, flops=c),
+    pytest.param(lambda c: nonuniform_conv(nfft_type1(_GRID16, np.ones(_P16), 2 * _P16, flops=c),
+                                           _LAM32, _P16, flops=c),
                  (0, 480, 1056, 16, 480, (64, 16)), id="conv-real"),
     pytest.param(lambda c: _plan16(1, c),
                  (48, 961, 2272, 80, 1057, (32, 16, 16, 32)), id="plan-eta1"),

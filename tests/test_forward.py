@@ -133,13 +133,18 @@ def test_adjoint_consistency():
 
 # --- nonuniform convolution ---------------------------------------------------
 
+def _unit(grid, R):
+    """The grid's unit delta train transformed to length R, the convolution's input."""
+    return nfft_type1(grid, np.ones(grid.size), R)
+
+
 def test_conv_constant_kernel():
     # Lambda = delta_0 sums the unit delta train: Q = 5 at every k of the P = 6 outputs
     rng = np.random.default_rng(11)
     grid = jittered(5, rng)
     lam = np.zeros(12)
     lam[0] = 1.0
-    out = nonuniform_conv(grid, lam, 6)
+    out = nonuniform_conv(_unit(grid, 12), lam, 6)
     assert np.abs(out - 5.0).max() < 1e-12
 
 
@@ -148,7 +153,7 @@ def test_conv_sifting_property():
     P = 8
     grid = validate_grid([0.0])
     lam = rng.standard_normal(2 * P)
-    out = nonuniform_conv(grid, lam, P)
+    out = nonuniform_conv(_unit(grid, 2 * P), lam, P)
     expected = np.array([np.sum(lam * np.exp(2j * np.pi * np.arange(2 * P) * k / P)) for k in range(P)])
     assert relative_error(expected, out) < 1e-12
 
@@ -157,7 +162,8 @@ def test_conv_direct_oracle():
     rng = np.random.default_rng(13)
     grid = jittered(8, rng)
     lam = rng.standard_normal(16)
-    assert relative_error(conv_direct(grid, np.ones(8), lam, 8), nonuniform_conv(grid, lam, 8)) < 1e-11
+    out = nonuniform_conv(_unit(grid, 16), lam, 8)
+    assert relative_error(conv_direct(grid, np.ones(8), lam, 8), out) < 1e-11
 
 
 @pytest.mark.parametrize("transform", [nfft_type1, nfft_type1_direct])
@@ -189,8 +195,9 @@ def test_conv_linearity():
     rng = np.random.default_rng(15)
     grid = jittered(7, rng)
     lam, mu_ = rng.standard_normal(14), rng.standard_normal(14)
-    lhs = nonuniform_conv(grid, lam + 2.0 * mu_, 7)
-    rhs = nonuniform_conv(grid, lam, 7) + 2.0 * nonuniform_conv(grid, mu_, 7)
+    unit = _unit(grid, 14)
+    lhs = nonuniform_conv(unit, lam + 2.0 * mu_, 7)
+    rhs = nonuniform_conv(unit, lam, 7) + 2.0 * nonuniform_conv(unit, mu_, 7)
     assert relative_error(rhs, lhs) < 1e-11
 
 

@@ -7,6 +7,7 @@ from nufft1d import (
     MethodParams,
     SingularDerivativeError,
     build_plan,
+    nfft_type1,
     relative_error,
     validate_grid,
 )
@@ -26,12 +27,17 @@ from nufft1d.verify import (
 )
 
 
+def _unit(grid, params):
+    """The v stage's input: the grid's unit delta train transformed to length eta P."""
+    return nfft_type1(grid, np.ones(grid.size), params.eta * grid.size)
+
+
 # --- v samples ------------------------------------------------------------------
 
 def test_v_single_node():
     grid = validate_grid([0.0])
     params = MethodParams.from_mu(1e-12, 1, eta=4)
-    v = compute_v_samples(grid, params)
+    v = compute_v_samples(_unit(grid, params), params)
     expected = np.log(1 - np.exp(-2 * np.pi * params.damping_a))
     assert abs(v[0] - expected) < 1e-11
     assert abs(v[0].imag) < 1e-11 and v[0].real < 0
@@ -42,18 +48,19 @@ def test_v_against_log_sum():
     P, mu = 8, 1e-13
     grid = jittered(P, rng)
     params = MethodParams.from_mu(mu, P, eta=2)
-    v = compute_v_samples(grid, params)
+    v = compute_v_samples(_unit(grid, params), params)
     err = np.abs(v - v_direct(grid, params.damping_a)).max()
     assert err < 10 * mu * P + 1e-12
 
 
 @pytest.mark.parametrize("eta", [1, 2])
 def test_v_default_kernel_follows_spread_width(eta):
-    # without spread=, the v stage builds its own length-eta P spreader; build_plan
-    # passes its shared length-P one at eta = 1, and the samples are the same bytes
+    # without a kernel, the unit transform streams its own length-eta P spreader;
+    # build_plan passes its shared length-P one at eta = 1, and the samples are the
+    # same bytes
     grid = jittered(64, np.random.default_rng(7))
     params = MethodParams.from_mu(1e-12, 64, eta)
-    ks = kernel_samples_from_v(compute_v_samples(grid, params), grid)
+    ks = kernel_samples_from_v(compute_v_samples(_unit(grid, params), params), grid)
     assert ks.tobytes() == build_plan(grid, params).kernel_samples.tobytes()
 
 
@@ -65,7 +72,7 @@ def test_v_truncation_shrinks_with_eta():
     errs = []
     for eta in (1, 2):
         params = MethodParams(damping_a=a, eta=eta)
-        v = compute_v_samples(grid, params)
+        v = compute_v_samples(_unit(grid, params), params)
         errs.append(np.abs(v - v_direct(grid, a)).max())
     assert errs[1] < errs[0]
 
@@ -76,7 +83,7 @@ def test_kernel_samples_uniform_closed_form():
     P = 8
     grid = validate_grid(np.arange(P) / P)
     params = MethodParams.from_mu(1e-13, P, eta=2)
-    ks = kernel_samples_from_v(compute_v_samples(grid, params), grid)
+    ks = kernel_samples_from_v(compute_v_samples(_unit(grid, params), params), grid)
     expected = np.exp(-2 * np.pi * P * params.damping_a) - 1.0
     assert np.abs(ks - expected).max() < 1e-11
 
@@ -84,7 +91,7 @@ def test_kernel_samples_uniform_closed_form():
 def test_kernel_samples_single_node():
     grid = validate_grid([0.0])
     params = MethodParams.from_mu(1e-12, 1, eta=4)
-    ks = kernel_samples_from_v(compute_v_samples(grid, params), grid)
+    ks = kernel_samples_from_v(compute_v_samples(_unit(grid, params), params), grid)
     expected = np.exp(-2 * np.pi * params.damping_a) - 1.0
     assert abs(ks[0] - expected) < 1e-11
 
@@ -94,7 +101,7 @@ def test_kernel_samples_product_oracle():
     P = 8
     grid = jittered(P, rng)
     params = MethodParams.from_mu(1e-13, P, eta=2)
-    ks = kernel_samples_from_v(compute_v_samples(grid, params), grid)
+    ks = kernel_samples_from_v(compute_v_samples(_unit(grid, params), params), grid)
     assert relative_error(kernel_samples_direct(grid, params.damping_a), ks) < 1e-11
 
 
@@ -111,7 +118,7 @@ def test_coefficients_uniform_grid():
     P = 16
     grid = validate_grid(np.arange(P) / P)
     params = MethodParams.from_mu(1e-14, P, eta=6)
-    L = kernel_coefficients(kernel_samples_from_v(compute_v_samples(grid, params), grid), params)
+    L = kernel_coefficients(kernel_samples_from_v(compute_v_samples(_unit(grid, params), params), grid), params)
     expected = np.zeros(P, dtype=complex)
     expected[0] = -1.0
     assert np.abs(L - expected).max() < 1e-12
@@ -121,7 +128,7 @@ def test_coefficients_single_linear_factor():
     tau = 0.3173
     grid = validate_grid([tau])
     params = MethodParams.from_mu(1e-12, 1, eta=4)
-    L = kernel_coefficients(kernel_samples_from_v(compute_v_samples(grid, params), grid), params)
+    L = kernel_coefficients(kernel_samples_from_v(compute_v_samples(_unit(grid, params), params), grid), params)
     assert abs(L[0] + np.exp(2j * np.pi * tau)) < 1e-10
 
 
@@ -130,7 +137,7 @@ def test_coefficients_expansion_oracle():
     P = 8
     grid = jittered(P, rng)
     params = MethodParams.from_mu(1e-11, P, eta=2)
-    L = kernel_coefficients(kernel_samples_from_v(compute_v_samples(grid, params), grid), params)
+    L = kernel_coefficients(kernel_samples_from_v(compute_v_samples(_unit(grid, params), params), grid), params)
     poly = polynomial_coefficients(grid)
     assert relative_error(poly[:P], L) < 1e-10
     assert abs(poly[P] - 1.0) < 1e-12  # leading coefficient is one
@@ -200,8 +207,8 @@ def test_node_order_invariance():
     d1 = build_plan(validate_grid(t), params)
     d2 = build_plan(validate_grid(t[perm]), params)
     # grid-indexed outputs permute; regular-grid outputs are order-free
-    v1 = compute_v_samples(validate_grid(t), params)
-    v2 = compute_v_samples(validate_grid(t[perm]), params)
+    v1 = compute_v_samples(_unit(validate_grid(t), params), params)
+    v2 = compute_v_samples(_unit(validate_grid(t[perm]), params), params)
     assert relative_error(v1, v2) < 1e-12
     assert relative_error(d1.kernel_samples, d2.kernel_samples) < 1e-12
     # coefficient recovery amplifies roundoff, so order sensitivity sits at
@@ -216,7 +223,7 @@ def test_log_identity_up_to_winding():
     P = 12
     grid = jittered(P, rng)
     params = MethodParams.from_mu(1e-13, P, eta=2)
-    v = compute_v_samples(grid, params)
+    v = compute_v_samples(_unit(grid, params), params)
     ks = kernel_samples_from_v(v, grid)
     assert relative_error(kernel_samples_direct(grid, params.damping_a), ks) < 1e-10
 
