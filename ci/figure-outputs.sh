@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Writes `nufft1d verify`, eight small figure sweeps (fig3 once more with NFFT
+# Writes `nufft1d verify`, nine small figure sweeps (fig3 once more with NFFT
 # beside R-NFFT, whose best-mu rows are kept per method; fig6 once more at
 # P = 300, where the direct oracle spans two phase row blocks; fig1 once more
-# with the `sweep` benchmark workload's cells, every row kept) and six
+# with the `sweep` benchmark workload's cells, every row kept, and once more
+# at P = 16, where eta 6 has no feasible mu and eta 2 one of two) and six
 # transforms of one 64-node trial into OUTDIR: the outputs that a change
 # which claims to keep every result must leave byte-identical, so two trees
 # compare with one `diff -r` of their OUTDIRs.
@@ -19,6 +20,7 @@ mkdir -p "$out"
 $NUFFT1D verify > "$out/verify.out"
 $NUFFT1D bench --figure fig1 --p 64 --trials 2 --out "$out/fig1.csv"
 $NUFFT1D bench --figure fig1 --p 256 --eta 1 6 --mu 1e-15 1e-8 --trials 2 --method GE CG NFFT R-NFFT --out "$out/fig1-sweep.csv"
+$NUFFT1D bench --figure fig1 --p 16 --eta 6 2 1 --mu 0.05 0.03 --trials 2 --method GE CG NFFT R-NFFT --out "$out/fig1-skip.csv"
 $NUFFT1D bench --figure fig2 --p 64 --trials 1 --out "$out/fig2.csv"
 $NUFFT1D bench --figure fig3 --p 64 128 --trials 1 --out "$out/fig3.csv"
 $NUFFT1D bench --figure fig3 --p 64 --trials 1 --method NFFT R-NFFT --out "$out/fig3-nfft.csv"

@@ -103,7 +103,7 @@ def cg_solve(
     at max_iter (default 4P) or when the search direction maps to zero, and
     returns the last iterate (not the best) with a convergence flag.
     """
-    if not (isinstance(tol, numbers.Real) and 0.0 < tol < np.inf):
+    if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0.0 < tol < np.inf):
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
     if which not in ("type4", "type5"):
         raise ValueError(f"unknown system kind {which!r}")

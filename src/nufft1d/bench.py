@@ -99,7 +99,8 @@ class TrialResult:
 
 def jittered(P, rng, jitter_max=JITTER_MAX):
     """Node p at p/P + U[0, jitter_max/P); a jitter_max above 1 would let nodes cross."""
-    if not (isinstance(jitter_max, numbers.Real) and 0.0 <= jitter_max <= 1.0):
+    if isinstance(jitter_max, bool) or not (
+            isinstance(jitter_max, numbers.Real) and 0.0 <= jitter_max <= 1.0):
         raise ValueError(f"jitter_max must be a real number in [0, 1], got {jitter_max!r}")
     return validate_grid(np.arange(P) / P + rng.uniform(0, jitter_max / P, P))
 
@@ -161,10 +162,12 @@ def run_sweep(config: TrialConfig) -> list[TrialResult]:
     own, in ``cg_solve``). The v stage's input, the type-1 transform of the
     grid's unit delta train, does not depend on mu, so it is computed once
     per eta, as ``build_plan`` computes it, and every mu's plan runs
-    ``build_plan``'s stages on it. R-NFFT's pass starts from the NFFT row's
-    iterate when NFFT is requested. Every row still has the bytes and the
-    flop total of its method run alone: each plan's counter starts from the
-    spectrum's charge, which ``build_plan`` also charges first.
+    ``build_plan``'s stages on it; an eta with no feasible mu computes none.
+    Each feasible (eta, mu) cell charges one counter: it starts from the
+    spectrum's charge, which ``build_plan`` also charges first, then the
+    plan, then the plain solve (the NFFT row reads it here), then one
+    refinement pass from that iterate (the R-NFFT row reads it here). So
+    every row has the bytes and the flop total of its method run alone.
     """
     results: list[TrialResult] = []
     if METHOD_GE in config.methods and max(config.p) > GE_SIZE_CAP:
@@ -204,29 +207,24 @@ def run_sweep(config: TrialConfig) -> list[TrialResult]:
                     continue
                 spread = kernel_for_size(P).spreader(grid)
                 for eta in config.eta:
-                    cells = []
+                    unit = None
                     for mu in config.mu:
                         try:
-                            cells.append((mu, MethodParams.from_mu(mu, P, eta)))
+                            params = MethodParams.from_mu(mu, P, eta)
                         except NonPositiveDampingError:
                             continue
-                    if not cells:
-                        continue
-                    unit_counter = FlopCounter()
-                    unit = nfft_type1(grid, np.ones(P, dtype=np.complex128), eta * P,
-                                      kernel=spread if eta == 1 else None, flops=unit_counter)
-                    for mu, params in cells:
-                        plan_counter = FlopCounter()
-                        plan_counter.merge(unit_counter)
-                        plan = _plan(grid, params, unit, spread, plan_counter)
-                        # R-NFFT's pass starts from the NFFT row's iterate and counter
-                        x, before = None, plan_counter
+                        if unit is None:
+                            unit_counter = FlopCounter()
+                            unit = nfft_type1(grid, np.ones(P, dtype=np.complex128), eta * P,
+                                              kernel=spread if eta == 1 else None,
+                                              flops=unit_counter)
+                        counter = FlopCounter()
+                        counter.merge(unit_counter)
+                        plan = _plan(grid, params, unit, spread, counter)
+                        x = None    # R-NFFT's pass starts from the NFFT row's iterate
                         for method, passes in fast:
-                            counter = FlopCounter()
-                            counter.merge(before)
                             x = _refine(plan, spectrum, passes, "type4", counter, spread, x)
                             record(method, x, counter, eta, mu)
-                            before = counter
     return results
 
 
@@ -270,8 +268,9 @@ FIGURE_DEFAULTS: dict[str, TrialConfig] = {
     ),
 }
 
-# Dense solves above this size take minutes to hours; figure protocols drop
-# GE/CG rows there unless explicitly overridden.
+# Figure protocols drop GE/CG rows above this size unless explicitly
+# overridden. At P = 4096 on 2 CPUs (numpy 2.4.6), GE took 2.3-2.6 s plus
+# 0.65-0.9 s to build its 256 MiB matrix, and CG took 0.08-0.09 s.
 DENSE_DEFAULT_CAP = 1024
 
 

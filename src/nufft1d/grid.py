@@ -108,7 +108,7 @@ def _check_mu(mu) -> None:
 
 
 def _check_damping(a) -> None:
-    if not (isinstance(a, numbers.Real) and a > 0.0 and math.isfinite(a)):
+    if isinstance(a, bool) or not (isinstance(a, numbers.Real) and a > 0.0 and math.isfinite(a)):
         raise NonPositiveDampingError(f"damping_a must be positive and finite, got {a!r}")
 
 
@@ -149,6 +149,8 @@ class MethodParams:
 
     def __post_init__(self):
         _check_damping(self.damping_a)
+        # a Python float, so no numpy scalar's precision reaches the plan's arithmetic
+        object.__setattr__(self, "damping_a", float(self.damping_a))
         object.__setattr__(self, "eta", require_count(self.eta, "eta", 1))
 
     @classmethod

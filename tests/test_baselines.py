@@ -140,7 +140,7 @@ def test_cg_iteration_cap():
 
 def test_cg_rejects_bad_arguments(geometry_calls):
     grid, _ = generate_trial(8, 1)
-    for tol in (0.0, np.nan, np.inf, "1e-9", None, 1j):
+    for tol in (0.0, np.nan, np.inf, "1e-9", None, 1j, True):
         with pytest.raises(ValueError, match="tolerance must be positive and finite"):
             cg_solve(grid, np.ones(8), tol=tol)
     with pytest.raises(ValueError):

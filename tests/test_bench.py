@@ -75,7 +75,7 @@ def test_jitter_stays_in_band():
 
 def test_generate_trial_rejects_bad_jitter():
     # a jitter above 1 lets nodes cross; the check comes before the draw, so it uses no numbers
-    for bad in (math.nan, -1.0, 1.5, math.inf, "0.5", 1j, None):
+    for bad in (math.nan, -1.0, 1.5, math.inf, "0.5", 1j, None, True):
         with pytest.raises(ValueError, match=r"jitter_max must be a real number in \[0, 1\]"):
             generate_trial(8, 1, bad)
         rng = np.random.default_rng(3)
@@ -170,9 +170,14 @@ def test_error_consistent_with_reconstruction():
     assert again == rows and type(again[0].p) is int and type(again[0].eta) is int
 
 
-def test_fast_rows_share_one_plan(monkeypatch):
-    # NFFT and R-NFFT solve on one plan per feasible (eta, mu) cell and trial; at
-    # P = 32, mu * (eta P - 1) >= 1 skips mu 0.5 at both etas and mu 0.02 at eta 2
+@pytest.mark.parametrize("P, etas, mus, cells", [
+    # mu * (eta P - 1) >= 1 skips mu 0.5 at both etas and mu 0.02 at eta 2
+    (32, (1, 2), (0.5, 0.02, 1e-10), {(1, 0.02), (1, 1e-10), (2, 1e-10)}),
+    # eta 6 has no feasible mu, so it computes nothing, not even its unit spectrum
+    (16, (6, 2, 1), (0.05, 0.03), {(2, 0.03), (1, 0.05), (1, 0.03)}),
+], ids=["P32", "eta-without-cells"])
+def test_fast_rows_share_one_plan(monkeypatch, P, etas, mus, cells):
+    # NFFT and R-NFFT solve on one plan per feasible (eta, mu) cell and trial
     import nufft1d.bench as bench
 
     calls = []
@@ -188,15 +193,17 @@ def test_fast_rows_share_one_plan(monkeypatch):
     shared = {"nfft_type1": [], "kernel_for_size": []}
     for name, log in shared.items():
         monkeypatch.setattr(bench, name, partial(_logged, getattr(bench, name), log))
-    cfg = TrialConfig(p=(32,), eta=(1, 2), mu=(0.5, 0.02, 1e-10), trials=2, seed=5,
+    cfg = TrialConfig(p=(P,), eta=etas, mu=mus, trials=2, seed=5,
                       methods=(METHOD_CG, METHOD_NFFT, METHOD_RNFFT))
     rows = run_sweep(cfg)
-    cells = {(r.eta, r.mu) for r in rows if r.mu is not None}
-    assert cells == {(1, 0.02), (1, 1e-10), (2, 1e-10)}
+    assert {(r.eta, r.mu) for r in rows if r.mu is not None} == cells
     assert len(calls) == len(cells) * cfg.trials
     assert sum(r.mu is not None for r in rows) == 2 * len(calls)
-    # one spectrum per (trial, eta with a feasible cell), one kernel per trial
-    assert len(shared["nfft_type1"]) == len({(r.trial, r.eta) for r in rows if r.mu is not None})
+    # one spectrum per (trial, eta with a feasible cell), of length eta P, in
+    # sweep order; one kernel per trial
+    feasible = {eta for eta, _ in cells}
+    assert [args[2] for args in shared["nfft_type1"]] == [
+        eta * P for eta in etas if eta in feasible] * cfg.trials
     assert len(shared["kernel_for_size"]) == cfg.trials
     calls.clear()
     run_sweep(replace(cfg, methods=(METHOD_GE, METHOD_CG)))

@@ -22,6 +22,8 @@ from nufft1d.forward import _blocked_matvec, _phase_blocks, nonuniform_conv
 from nufft1d.gridding import _SPREAD_BLOCK, SPREAD_WIDTH, round_product
 from nufft1d.verify import conv_direct, jittered, randc
 
+from conftest import NODE_FAMILIES
+
 
 # --- direct oracles are themselves checked against naive python loops --------
 
@@ -81,7 +83,7 @@ def test_type1_oracle_equivalence():
 @pytest.mark.parametrize("Q,R", [(7, 16), (33, 8), (16, 48), (5, 1)])
 def test_type1_rectangular_sizes(Q, R):
     rng = np.random.default_rng(5)
-    grid = validate_grid(np.sort(rng.uniform(0, 1, Q)))
+    grid = NODE_FAMILIES["iid"](Q, rng)
     a = randc(Q, rng)
     assert relative_error(nfft_type1_direct(grid, a, R), nfft_type1(grid, a, R)) < 1e-12
 

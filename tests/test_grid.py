@@ -192,7 +192,7 @@ def test_method_params_factories():
 def test_method_params_validation():
     with pytest.raises(NonPositiveDampingError):
         MethodParams(damping_a=-0.1, eta=1)
-    for bad in (math.nan, math.inf):
+    for bad in (math.nan, math.inf, True):
         with pytest.raises(ValueError, match="damping_a"):
             MethodParams(damping_a=bad, eta=2)
     with pytest.raises(ValueError):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from nufft1d import (
-    DuplicateNodeError,
     FlopCounter,
     MethodParams,
     NufftError,
@@ -25,6 +24,8 @@ from nufft1d import (
 )
 from nufft1d.inverse import _transform_pair
 from nufft1d.verify import derivative_direct, jittered, randc
+
+from conftest import NODE_FAMILIES
 
 
 def std_params(P, mu=1e-11, eta=2, **kw):
@@ -256,29 +257,23 @@ def test_plan_builds_one_spreader_per_kernel(eta, geometry_calls):
     assert geometry_calls == ([P] if eta == 1 else [eta * P, P])
 
 
-def _pairs(P, rng):
-    # nodes 0.1/P apart, one pair every 2/P
-    first = np.arange(0, P, 2) / P + rng.uniform(0, 1 / P, P // 2)
-    return np.stack([first, first + 0.1 / P], axis=1).ravel()
-
-
-NODE_FAMILIES = {
-    "jitter-0.99": (256, lambda P, rng: jittered(P, rng, 0.99).instants),
-    "pairs": (256, _pairs),
-    # spacing shrunk by 1/P, so the wrap-around gap spans 2 spacings
-    "gap-2": (256, lambda P, rng: (np.arange(P) / P) * (1 - 1 / P) + rng.uniform(0, 0.3 / P, P)),
-    "P300": (300, lambda P, rng: jittered(P, rng).instants),
-    "P1000": (1000, lambda P, rng: jittered(P, rng).instants),
+# case id -> (P, node family)
+GROUND_TRUTH_CASES = {
+    "jitter-0.99": (256, "jitter-0.99"),
+    "pairs": (256, "pairs"),
+    "gap-2": (256, "gap-2"),
+    "P300": (300, "jitter-0.6"),
+    "P1000": (1000, "jitter-0.6"),
 }
 
 
 @pytest.mark.parametrize("kind", [4, 5])
-@pytest.mark.parametrize("family", sorted(NODE_FAMILIES))
-def test_node_families_against_ground_truth(family, kind):
+@pytest.mark.parametrize("case", sorted(GROUND_TRUTH_CASES))
+def test_node_families_against_ground_truth(case, kind):
     # i.i.d. grids and wider gaps are left out: there the solve is silently wrong
-    P, nodes = NODE_FAMILIES[family]
+    P, family = GROUND_TRUTH_CASES[case]
     rng = np.random.default_rng(1)
-    grid = validate_grid(nodes(P, rng))
+    grid = NODE_FAMILIES[family](P, rng)
     truth = randc(P, rng)
     plan = build_plan(grid, MethodParams.from_mu(1e-15, P, eta=6))
     if kind == 4:
@@ -289,28 +284,20 @@ def test_node_families_against_ground_truth(family, kind):
     assert relative_error(truth, refine(plan, data, passes=1)) <= 1e-12
 
 
-def _iid_uniform(P, rng):
-    while True:
-        try:
-            return validate_grid(np.sort(rng.uniform(0, 1, P)))
-        except DuplicateNodeError:
-            pass
-
-
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="plain solves on i.i.d. uniform nodes and on gapped grids return "
                           "silently wrong answers")
-@pytest.mark.parametrize("P, nodes, seed", [
-    (1024, _iid_uniform, 0),
-    (1024, _iid_uniform, 1),
-    # spacing shrunk by 5/P, so the wrap-around gap spans 6 spacings: type 4 reaches
-    # ~4e-7 and GE on type5_system ~2e-8, but plain type 5 errs by ~10 and raises nothing
-    (256, lambda P, rng: (np.arange(P) / P) * (1 - 5 / P) + rng.uniform(0, 0.3 / P, P), 0),
+@pytest.mark.parametrize("P, family, seed", [
+    (1024, "iid", 0),
+    (1024, "iid", 1),
+    # on gap 6, type 4 reaches ~4e-7 and GE on type5_system ~2e-8, but plain
+    # type 5 errs by ~10 and raises nothing
+    (256, "gap-6", 0),
 ], ids=["0", "1", "gap-6"])
-def test_iid_uniform_nodes_meet_bound_or_raise(P, nodes, seed):
+def test_iid_uniform_nodes_meet_bound_or_raise(P, family, seed):
     # every solve either meets its accuracy or raises; here (i.i.d. cond ~1e17) neither happens
     rng = np.random.default_rng(seed)
-    grid = validate_grid(nodes(P, rng))
+    grid = NODE_FAMILIES[family](P, rng)
     truth = randc(P, rng)
     try:
         plan = build_plan(grid, MethodParams.from_mu(1e-15, P, eta=6))
@@ -339,22 +326,38 @@ def test_many_refinement_passes_on_jittered_grids_converge():
             assert err <= 1e-13, f"seed {seed}, {refine.__name__}: relative error {err:.2g}"
 
 
-@pytest.mark.parametrize("nodes, bound", [
-    (lambda P, rng: jittered(P, rng).instants, 1e-11),
-    # the gap-6 grid of test_iid_uniform_nodes_meet_bound_or_raise, cond_2(A) ~1e6
-    (lambda P, rng: (np.arange(P) / P) * (1 - 5 / P) + rng.uniform(0, 0.3 / P, P), 1e-7),
+@pytest.mark.parametrize("family, bound", [
+    ("jitter-0.6", 1e-11),
+    ("gap-6", 1e-7),    # cond_2(A) ~1e6
 ], ids=["jittered", "gap-6"])
-def test_type5_solve_is_type4_solve_transposed(nodes, bound):
+def test_type5_solve_is_type4_solve_transposed(family, bound):
     # M5 = M4^H on one plan, built column by column on the identity: so type 5's
     # error operator is (A E4 A^-1)^H, E4 = M4 A - I, and plain type 5 can err by
     # up to cond(A) times type 4. Seed 0 reads 6.2e-13 and 4.7e-9 (Frobenius).
     P = 64
-    grid = validate_grid(nodes(P, np.random.default_rng(0)))
+    grid = NODE_FAMILIES[family](P, np.random.default_rng(0))
     plan = build_plan(grid, MethodParams.from_mu(1e-15, P, eta=6))
     identity = np.eye(P, dtype=np.complex128)
     M4 = np.column_stack([type4(plan, e) for e in identity])
     M5 = np.column_stack([type5(plan, e) for e in identity])
     assert relative_error(M4.conj().T, M5) <= bound
+
+
+def test_numpy_scalar_damping_keeps_double_precision():
+    # the damping is stored as a float: under numpy >= 2 a float32 one would run
+    # the boundary kernel and the alias term in single precision (at P = 1024,
+    # eta = 6 type 4 erred by 2.2e-9, not 1.4e-12), and a longdouble one would
+    # make the plan complex256
+    rng = np.random.default_rng(16)
+    P = 64
+    grid = jittered(P, rng)
+    spectrum = randc(P, rng)
+    a = np.float32(MethodParams.from_mu(1e-15, P, eta=6).damping_a)
+    single = type4(build_plan(grid, MethodParams(a, 6)), spectrum)
+    double = type4(build_plan(grid, MethodParams(float(a), 6)), spectrum)
+    assert single.tobytes() == double.tobytes()
+    long = build_plan(grid, MethodParams(np.longdouble(a), 6))
+    assert long.node_weights.dtype == np.complex128
 
 
 def test_refine_rejects_negative_passes():

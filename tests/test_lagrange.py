@@ -26,6 +26,8 @@ from nufft1d.verify import (
     v_direct,
 )
 
+from conftest import NODE_FAMILIES
+
 
 def _unit(grid, params):
     """The v stage's input: the grid's unit delta train transformed to length eta P."""
@@ -201,7 +203,7 @@ def test_singular_derivative_guard(monkeypatch):
 def test_node_order_invariance():
     rng = np.random.default_rng(5)
     P = 8
-    t = np.sort(rng.uniform(0, 1, P))
+    t = NODE_FAMILIES["iid"](P, rng).instants
     perm = rng.permutation(P)
     params = MethodParams.from_mu(1e-11, P, eta=2)
     d1 = build_plan(validate_grid(t), params)
