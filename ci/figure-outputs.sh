@@ -12,7 +12,11 @@
 #   PYTHONPATH=src NUFFT1D="python -m nufft1d.cli" ci/figure-outputs.sh OUTDIR
 #
 # NUFFT1D is as for ci/check-installed.sh: default nufft1d, expanded unquoted.
+# Warnings are errors: the fig3 --p 64 line sweeps mu across the over-damped
+# corner (e^37.3 > 1/eps at mu 1e-18), so an AmplificationWarning that
+# escapes run_sweep, or any numpy warning, fails the script.
 set -euo pipefail
+export PYTHONWARNINGS=error
 NUFFT1D=${NUFFT1D:-nufft1d}
 out=${1:?usage: ci/figure-outputs.sh OUTDIR}
 mkdir -p "$out"

@@ -17,14 +17,12 @@ from __future__ import annotations
 
 import math
 import numbers
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .baselines import cg_solve, ge_solve, type4_system
 from .errors import (
-    AmplificationWarning,
     LengthMismatchError,
     NonPositiveDampingError,
     ZeroReferenceError,
@@ -154,8 +152,8 @@ def run_sweep(config: TrialConfig) -> list[TrialResult]:
     per trial; the fast methods run once per (eta, mu) pair and share one
     plan: NFFT is ``refine_type4`` with no refinement pass and R-NFFT with
     one. Infeasible (mu, eta) pairs (truncation too loose to need damping)
-    are skipped. Deliberately over-damped corners would also spam
-    amplification warnings, so those are suppressed here.
+    are skipped. The plans skip ``build_plan``'s over-damping warning, so
+    the deliberately over-damped corners record their errors silently.
 
     A trial does its grid-level work once. One stored length-P spreader
     serves every plan's gridded stages and every fast solve (CG builds its
@@ -174,57 +172,55 @@ def run_sweep(config: TrialConfig) -> list[TrialResult]:
         raise ValueError(f"GE requested above the P = {GE_SIZE_CAP} dense-solver cap")
     fast = [(m, passes) for m, passes in ((METHOD_NFFT, 0), (METHOD_RNFFT, 1))
             if m in config.methods]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", AmplificationWarning)
-        for P in config.p:
-            for trial in range(config.trials):
-                tseed = config.seed ^ trial
-                grid, a_true = generate_trial(P, tseed)
+    for P in config.p:
+        for trial in range(config.trials):
+            tseed = config.seed ^ trial
+            grid, a_true = generate_trial(P, tseed)
 
-                def record(method, x, counter, eta=None, mu=None, cg_iterations=None):
-                    err = relative_error(a_true, x)
-                    results.append(TrialResult(
-                        p=P, eta=eta, mu=mu, method=method, trial=trial,
-                        error_linear=err, error_db=to_db(err),
-                        total_flops=counter.report().total_flops,
-                        cg_iterations=cg_iterations, seed=tseed,
-                    ))
+            def record(method, x, counter, eta=None, mu=None, cg_iterations=None):
+                err = relative_error(a_true, x)
+                results.append(TrialResult(
+                    p=P, eta=eta, mu=mu, method=method, trial=trial,
+                    error_linear=err, error_db=to_db(err),
+                    total_flops=counter.report().total_flops,
+                    cg_iterations=cg_iterations, seed=tseed,
+                ))
 
-                if METHOD_GE in config.methods:
+            if METHOD_GE in config.methods:
+                counter = FlopCounter()
+                system = type4_system(grid, flops=counter)
+                spectrum = _blocked_matvec(system, a_true)
+                x = ge_solve(system, spectrum, flops=counter)
+                del system
+                record(METHOD_GE, x, counter)
+            else:
+                spectrum = nfft_type1_direct(grid, a_true, P)
+            if METHOD_CG in config.methods:
+                counter = FlopCounter()
+                res = cg_solve(grid, spectrum, "type4", tol=CG_TOL, flops=counter)
+                record(METHOD_CG, res.solution, counter, cg_iterations=res.iterations)
+            if not fast:
+                continue
+            spread = kernel_for_size(P).spreader(grid)
+            for eta in config.eta:
+                unit = None
+                for mu in config.mu:
+                    try:
+                        params = MethodParams.from_mu(mu, P, eta)
+                    except NonPositiveDampingError:
+                        continue
+                    if unit is None:
+                        unit_counter = FlopCounter()
+                        unit = nfft_type1(grid, np.ones(P, dtype=np.complex128), eta * P,
+                                          kernel=spread if eta == 1 else None,
+                                          flops=unit_counter)
                     counter = FlopCounter()
-                    system = type4_system(grid, flops=counter)
-                    spectrum = _blocked_matvec(system, a_true)
-                    x = ge_solve(system, spectrum, flops=counter)
-                    del system
-                    record(METHOD_GE, x, counter)
-                else:
-                    spectrum = nfft_type1_direct(grid, a_true, P)
-                if METHOD_CG in config.methods:
-                    counter = FlopCounter()
-                    res = cg_solve(grid, spectrum, "type4", tol=CG_TOL, flops=counter)
-                    record(METHOD_CG, res.solution, counter, cg_iterations=res.iterations)
-                if not fast:
-                    continue
-                spread = kernel_for_size(P).spreader(grid)
-                for eta in config.eta:
-                    unit = None
-                    for mu in config.mu:
-                        try:
-                            params = MethodParams.from_mu(mu, P, eta)
-                        except NonPositiveDampingError:
-                            continue
-                        if unit is None:
-                            unit_counter = FlopCounter()
-                            unit = nfft_type1(grid, np.ones(P, dtype=np.complex128), eta * P,
-                                              kernel=spread if eta == 1 else None,
-                                              flops=unit_counter)
-                        counter = FlopCounter()
-                        counter.merge(unit_counter)
-                        plan = _plan(grid, params, unit, spread, counter)
-                        x = None    # R-NFFT's pass starts from the NFFT row's iterate
-                        for method, passes in fast:
-                            x = _refine(plan, spectrum, passes, "type4", counter, spread, x)
-                            record(method, x, counter, eta, mu)
+                    counter.merge(unit_counter)
+                    plan = _plan(grid, params, unit, spread, counter)
+                    x = None    # R-NFFT's pass starts from the NFFT row's iterate
+                    for method, passes in fast:
+                        x = _refine(plan, spectrum, passes, "type4", counter, spread, x)
+                        record(method, x, counter, eta, mu)
     return results
 
 
@@ -268,9 +264,10 @@ FIGURE_DEFAULTS: dict[str, TrialConfig] = {
     ),
 }
 
-# Figure protocols drop GE/CG rows above this size unless explicitly
+# Figure protocols drop GE rows above this size unless explicitly
 # overridden. At P = 4096 on 2 CPUs (numpy 2.4.6), GE took 2.3-2.6 s plus
-# 0.65-0.9 s to build its 256 MiB matrix, and CG took 0.08-0.09 s.
+# 0.65-0.9 s to build its 256 MiB matrix; CG, which keeps its rows at every
+# size, took 0.08-0.09 s.
 DENSE_DEFAULT_CAP = 1024
 
 
@@ -281,10 +278,8 @@ def run_figure(name: str, config: TrialConfig | None = None, dense_cap: int | No
     cfg = config if config is not None else FIGURE_DEFAULTS[name]
     cap = DENSE_DEFAULT_CAP if dense_cap is None else require_count(dense_cap, "dense cap", 0)
     results: list[TrialResult] = []
-    dense_methods = tuple(m for m in cfg.methods if m in (METHOD_GE, METHOD_CG))
-    fast_methods = tuple(m for m in cfg.methods if m not in (METHOD_GE, METHOD_CG))
     for P in cfg.p:
-        methods = cfg.methods if P <= cap else fast_methods
+        methods = tuple(m for m in cfg.methods if m != METHOD_GE or P <= cap)
         if not methods:
             continue
         sub = replace(cfg, p=(P,), methods=methods)
@@ -301,6 +296,6 @@ def run_figure(name: str, config: TrialConfig | None = None, dense_cap: int | No
         "jitter_max": JITTER_MAX,
         "db_convention": "20*log10(relative_l2_error)",
         "rng": "philox(key=seed^trial)",
-        "dense_cap": cap if dense_methods else None,
+        "dense_cap": cap if METHOD_GE in cfg.methods else None,
     }
     return results, meta

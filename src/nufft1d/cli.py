@@ -79,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     be.add_argument("--seed", type=int, default=None)
     be.add_argument("--method", nargs="+", choices=ALL_METHODS, default=None, dest="methods")
     be.add_argument("--dense-cap", type=int, default=None,
-                    help="largest P at which GE/CG rows are computed")
+                    help="largest P at which GE rows are computed")
 
     sub.add_parser("verify", help="run the oracle self-check suite")
     return parser

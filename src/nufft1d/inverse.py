@@ -15,10 +15,12 @@ solver-class accuracy at FFT cost.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import AmplificationWarning
 from .flops import FlopCounter, charge
 from .forward import _idft_unnormalized, nfft_type1, nfft_type2
 from .grid import MethodParams, NonuniformGrid, _series_length, as_complex_vector, require_count
@@ -68,7 +70,17 @@ def build_plan(
     params: MethodParams,
     flops: FlopCounter | None = None,
 ) -> InversePlan:
-    """Precompute everything grid-dependent for type-4/type-5 solves."""
+    """Precompute everything grid-dependent for type-4/type-5 solves.
+
+    Before any work it warns AmplificationWarning, at the caller's line, when
+    the coefficient undamping e^{2 pi (P-1) a} exceeds 1/eps.
+    """
+    boost_top = 2.0 * np.pi * (grid.size - 1) * params.damping_a
+    if boost_top > -np.log(np.finfo(np.float64).eps):
+        warnings.warn(
+            f"coefficient undamping e^(2 pi (P-1) a) = e^{boost_top:.1f} exceeds 1/eps; "
+            "high kernel coefficients are below roundoff (damping too strong)",
+            AmplificationWarning, stacklevel=2)
     # at eta = 1 both gridded stages are length P, so they share one spreader
     spread = kernel_for_size(grid.size).spreader(grid) if params.eta == 1 else None
     R = _series_length(params.eta, grid.size)
@@ -162,8 +174,6 @@ def _transform_pair(grid: NonuniformGrid, kind: str, flops, spread: Spreader | N
     every product shares, for a call that makes more than one transform;
     with None each transform streams its taps.
     """
-    if kind not in ("type4", "type5"):
-        raise ValueError(f"unknown system kind {kind!r}")
     P = grid.size
     type1 = lambda x: nfft_type1(grid, x, P, kernel=spread, flops=flops)
     type2 = lambda y: nfft_type2(y, grid, kernel=spread, flops=flops)

@@ -14,11 +14,9 @@ brute-force counterparts live in ``nufft1d.verify`` as oracles.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
-from .errors import AmplificationWarning, KernelOverflowError, SingularDerivativeError
+from .errors import KernelOverflowError, SingularDerivativeError
 from .flops import FlopCounter, charge
 from .forward import nfft_type2, nonuniform_conv
 from .grid import MethodParams, NonuniformGrid, as_complex_vector
@@ -98,20 +96,12 @@ def kernel_coefficients(
     DFT of P samples of the degree-P polynomial folds the leading term
     (weight e^{-2 pi P a}) onto bin 0; subtract it exactly there, then undo
     the per-coefficient damping. The undamping factor e^{2 pi (P-1) a} is
-    the method's intrinsic roundoff amplifier; warn when it exceeds 1/eps
-    and nothing of the high coefficients can survive in double precision.
+    the method's intrinsic roundoff amplifier. ``inverse.build_plan``, not
+    this function, warns when it exceeds 1/eps.
     """
     ks = as_complex_vector(kernel_samples, name="kernel samples")
     P = ks.size
     a = params.damping_a
-    boost_top = 2.0 * np.pi * (P - 1) * a
-    if boost_top > -np.log(np.finfo(np.float64).eps):
-        warnings.warn(
-            f"coefficient undamping e^(2 pi (P-1) a) = e^{boost_top:.1f} exceeds 1/eps; "
-            "high kernel coefficients are below roundoff (damping too strong)",
-            AmplificationWarning,
-            stacklevel=2,
-        )
     boost = np.exp(2.0 * np.pi * np.arange(P) * a)
     spectrum = np.fft.fft(ks)
     spectrum[0] -= P * np.exp(-2.0 * np.pi * P * a)

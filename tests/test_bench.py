@@ -276,13 +276,18 @@ def test_run_figure_smoke():
 
 
 def test_run_figure_dense_cap():
+    # the cap drops GE rows alone: CG is cheap at any size the sweep allows
     cfg = TrialConfig(p=(32, 64), eta=(1,), mu=(1e-9,), trials=1, seed=4,
-                      methods=(METHOD_GE, METHOD_NFFT))
-    rows, _ = run_figure("fig1", cfg, dense_cap=32)
+                      methods=(METHOD_GE, METHOD_CG, METHOD_NFFT))
+    rows, meta = run_figure("fig1", cfg, dense_cap=32)
+    assert meta["dense_cap"] == 32
+    _, cg_meta = run_figure("fig1", replace(cfg, methods=(METHOD_CG,)), dense_cap=32)
+    assert cg_meta["dense_cap"] is None
     assert any(r.method == METHOD_GE and r.p == 32 for r in rows)
     assert not any(r.method == METHOD_GE and r.p == 64 for r in rows)
+    assert any(r.method == METHOD_CG and r.p == 64 for r in rows)
     assert any(r.method == METHOD_NFFT and r.p == 64 for r in rows)
-    # the cap is a count: a negative one would silently drop every dense row
+    # the cap is a count: a negative one would silently drop every GE row
     for bad in (-1, 2.5, "x"):
         with pytest.raises(ValueError, match="dense cap must be an integer >= 0"):
             run_figure("fig1", cfg, dense_cap=bad)
@@ -453,7 +458,19 @@ def test_every_sweep_row_equals_its_method_run_alone(P, eta, methods):
     # between a trial's cells and rows; mu 1e-2 is infeasible but at P = 64, eta = 1
     cfg = TrialConfig(p=(P,), eta=eta, mu=(1e-15, 1e-8, 1e-2), trials=2, seed=11,
                       methods=methods)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", AmplificationWarning)   # as run_sweep does
-        alone = _rows_run_alone(cfg)
-    assert run_sweep(cfg) == alone
+    # no cell is over-damped (2 pi (P - 1) a <= 30.4 < ln(1/eps)), so build_plan
+    # does not warn here and needs no filter
+    assert run_sweep(cfg) == _rows_run_alone(cfg)
+
+
+def test_run_sweep_leaves_warning_filters_alone():
+    # P = 64, eta = 1, mu = 1e-18 is over-damped (e^37.3 > 1/eps), so build_plan
+    # warns there; run_sweep must neither warn (the suite turns warnings into
+    # errors) nor edit the process's warning filters
+    grid, _ = generate_trial(64, 0)
+    with pytest.warns(AmplificationWarning):
+        build_plan(grid, MethodParams.from_mu(1e-18, 64, 1))
+    before = list(warnings.filters)
+    rows = run_sweep(TrialConfig(p=(64,), eta=(1,), mu=(1e-18,), trials=1, methods=(METHOD_NFFT,)))
+    assert [r.method for r in rows] == [METHOD_NFFT]
+    assert warnings.filters == before

@@ -367,7 +367,7 @@ def test_bench_bad_config_exit_code(option, tmp_path, capsys):
 
 
 def test_bench_negative_dense_cap_exit_code(tmp_path, capsys):
-    # a negative cap would drop every GE/CG row: it is an input error, not an empty sweep
+    # a negative cap would drop every GE row: it is an input error, not an empty sweep
     out = tmp_path / "fig1.csv"
     rc = main(["bench", "--figure", "fig1", "--out", str(out), "--p", "16", "--trials", "1",
                "--eta", "1", "--mu", "1e-8", "--dense-cap", "-1"])

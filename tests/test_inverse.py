@@ -230,12 +230,6 @@ def test_transform_pair_mapping(kind, A_type, AH_type):
     assert np.array_equal(apply_AH(x), transform[AH_type](x))
 
 
-def test_transform_pair_rejects_unknown_kind():
-    grid = jittered(8, np.random.default_rng(15))
-    with pytest.raises(ValueError, match="'type3'"):
-        _transform_pair(grid, "type3", None)
-
-
 @pytest.mark.parametrize("refine", [refine_type4, refine_type5])
 def test_refine_builds_one_spreader_per_call(refine, geometry_calls):
     # plain and refined solves alike build one spreader, whatever the pass count

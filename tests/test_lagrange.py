@@ -146,11 +146,12 @@ def test_coefficients_expansion_oracle():
 
 
 def test_amplification_warning():
+    # e^{2 pi 63 * 0.1} = e^39.6 > 1/eps; build_plan names its caller's line
     P = 64
     params = MethodParams(damping_a=0.1, eta=1)
-    ks = np.ones(P, dtype=complex)
-    with pytest.warns(AmplificationWarning):
-        kernel_coefficients(ks, params)
+    with pytest.warns(AmplificationWarning) as record:
+        build_plan(validate_grid(np.arange(P) / P), params)
+    assert record[0].filename == __file__
 
 
 # --- derivative samples ------------------------------------------------------------
