@@ -4,9 +4,13 @@
 # P = 300, where the direct oracle spans two phase row blocks; fig1 once more
 # with the `sweep` benchmark workload's cells, every row kept, and once more
 # at P = 16, where eta 6 has no feasible mu and eta 2 one of two) and six
-# transforms of one 64-node trial into OUTDIR: the outputs that a change
-# which claims to keep every result must leave byte-identical, so two trees
-# compare with one `diff -r` of their OUTDIRs.
+# transforms of one 64-node trial into OUTDIR, then four transforms of one
+# 16384-node trial: the outputs that a change which claims to keep every
+# result must leave byte-identical, so two trees compare with one `diff -r`
+# of their OUTDIRs. The large trial is there because numpy switches
+# arithmetic at 256 KiB (16384 complex values): from that size on it computes
+# `x * temporary` in place as temporary * x, and every benchmark workload
+# runs above it, while the figure sweeps stop at P = 300.
 #
 #   ci/figure-outputs.sh OUTDIR                # the installed console script
 #   PYTHONPATH=src NUFFT1D="python -m nufft1d.cli" ci/figure-outputs.sh OUTDIR
@@ -42,3 +46,10 @@ $NUFFT1D transform --type 1 --grid "$out/grid.txt" --data "$out/amps.txt" --out 
 $NUFFT1D transform --type 2 --grid "$out/grid.txt" --data "$out/amps3.txt" --out "$out/type2-p3.txt"
 $NUFFT1D transform --type 4 --grid "$out/grid.txt" --data "$out/type1.txt" --out "$out/type4.txt" --passes 1
 $NUFFT1D transform --type 5 --grid "$out/grid.txt" --data "$out/type2.txt" --out "$out/type5.txt" --eta 6
+# type 1/2 of a fixed 16384-node trial and the inverses of those, as above, at
+# a size where each fine-grid and length-P array is 256 KiB or more
+python -c 'import sys, numpy as np; from nufft1d import generate_trial; from nufft1d.vecio import write_vector_file; g, a = generate_trial(16384, 1); np.savetxt(sys.argv[1] + "/grid-16384.txt", g.instants, fmt="%.17g"); write_vector_file(sys.argv[1] + "/amps-16384.txt", a)' "$out"
+$NUFFT1D transform --type 1 --grid "$out/grid-16384.txt" --data "$out/amps-16384.txt" --out "$out/type1-16384.txt"
+$NUFFT1D transform --type 2 --grid "$out/grid-16384.txt" --data "$out/amps-16384.txt" --out "$out/type2-16384.txt"
+$NUFFT1D transform --type 4 --grid "$out/grid-16384.txt" --data "$out/type1-16384.txt" --out "$out/type4-16384.txt" --passes 1
+$NUFFT1D transform --type 5 --grid "$out/grid-16384.txt" --data "$out/type2-16384.txt" --out "$out/type5-16384.txt" --eta 6

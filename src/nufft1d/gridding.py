@@ -223,7 +223,9 @@ class Spreader:
     def scatter(self, values: np.ndarray) -> np.ndarray:
         """Band-shifted values spread onto the periodic fine grid (length n)."""
         kernel = self.kernel
-        shifted = values * np.conj(self.phase)
+        shifted = np.conj(self.phase)
+        # values first: numpy swaps `x * temporary` at 256 KiB; complex x*y, y*x differ in bits
+        np.multiply(values, shifted, out=shifted)
         offsets = np.arange(kernel.taps)
         padded = np.zeros(kernel.fine_size + kernel.taps, dtype=np.complex128)
         for block, starts, pulse in self._block_taps():

@@ -109,7 +109,9 @@ def _plan(grid: NonuniformGrid, params: MethodParams, unit, spread, flops) -> In
 
     t = grid.instants
     h_boundary = 1.0 / (cis_cycles(round_product(-P, t)[1]) * np.exp(-2.0 * np.pi * P * a) - 1.0)
-    node_weights = h_boundary / (dL * cis_cycles(t))
+    denominator = cis_cycles(t)
+    # dL first: numpy swaps `x * temporary` at 256 KiB; complex x*y, y*x differ in bits
+    node_weights = h_boundary / np.multiply(dL, denominator, out=denominator)
     charge(
         flops,
         complex_exps=P + 2 * P + 1,     # decay table; e^{-2 pi i P t}, e^{2 pi i t}, e^{-2 pi P a}

@@ -274,7 +274,7 @@ def _scatter_monolithic(spread, x):
     fold = _fold_table(kernel)
     flat = (spread.starts[:, None] + np.arange(kernel.taps)).ravel()
     padded = np.zeros(fold.size, dtype=np.complex128)
-    np.add.at(padded, flat, (spread.pulse * (x * np.conj(spread.phase))[:, None]).ravel())
+    np.add.at(padded, flat, (spread.pulse * np.multiply(x, np.conj(spread.phase))[:, None]).ravel())
     fine = np.zeros(kernel.fine_size, dtype=np.complex128)
     np.add.at(fine, fold, padded)
     return fine
@@ -287,16 +287,20 @@ def _gather_monolithic(spread, y):
     return np.einsum("qj,qj->q", spread.pulse, windows) * spread.phase
 
 
-@pytest.mark.parametrize("R", [1, 3, 7, 8, 64, 2 * _SPREAD_BLOCK + 37])
-def test_blocked_spreader_matches_monolithic(R):
-    # three blocks, the last one partial, in the caller's unsorted order; the
-    # last node of the first block and the first of the second are 2e-12 apart,
+@pytest.mark.parametrize("R, Q", [
+    *((R, 2 * _SPREAD_BLOCK + 37) for R in (1, 3, 7, 8, 64, 2 * _SPREAD_BLOCK + 37)),
+    # the shift x conj(phase) is 256 KiB or more, where numpy computes `x * temporary`
+    # as temporary * x: the scatter must keep x first, as below that size
+    (64, 16 * _SPREAD_BLOCK + 37),
+], ids=["1", "3", "7", "8", "64", "2085", "64-Q16421"])
+def test_blocked_spreader_matches_monolithic(R, Q):
+    # whole blocks then a partial one, in the caller's unsorted order; the last
+    # node of the first block and the first of the second are 2e-12 apart,
     # so one start index straddles the block edge. R = 1 (K = 0: no negative
     # band) folds its 31 padded points in 16 chunks, R = 7 (n = m) starts its
     # first chunk at padded index 0, and R = 8's three chunks overlap around
     # the circle.
     rng = np.random.default_rng(25)
-    Q = 2 * _SPREAD_BLOCK + 37
     t = rng.permutation(jittered(Q - 1, rng, 0.99).instants)
     grid = validate_grid(np.insert(t, _SPREAD_BLOCK, t[_SPREAD_BLOCK - 1] + 2e-12))
     kernel = kernel_for_size(R)

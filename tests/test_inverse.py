@@ -22,6 +22,7 @@ from nufft1d import (
     type5_system,
     validate_grid,
 )
+from nufft1d.gridding import cis_cycles, round_product
 from nufft1d.inverse import _transform_pair
 from nufft1d.verify import derivative_direct, jittered, randc
 
@@ -72,6 +73,21 @@ def test_plan_fields_match_small_scale_oracles():
     expected = h / (derivative_direct(grid) * z)
     assert relative_error(expected, plan.node_weights) < 1e-9
     assert np.all(np.isfinite(plan.node_weights)) and np.all(plan.node_weights != 0)
+
+
+def test_node_weight_denominator_keeps_its_operand_order():
+    # at P = 16384 the denominator L'(z) e^{2 pi i t} is 256 KiB, where numpy
+    # computes `x * temporary` as temporary * x: the plan must keep L' first, as
+    # below that size, since a complex product's bits depend on operand order
+    P = 16384
+    grid = jittered(P, np.random.default_rng(1))
+    params = std_params(P)
+    plan = build_plan(grid, params)
+    t = grid.instants
+    h = 1.0 / (cis_cycles(round_product(-P, t)[1]) * np.exp(-2.0 * np.pi * P * params.damping_a)
+               - 1.0)
+    expected = h / np.multiply(plan.derivative_samples, cis_cycles(t))
+    assert plan.node_weights.tobytes() == expected.tobytes()
 
 
 # --- type 5 ---------------------------------------------------------------------
@@ -278,32 +294,48 @@ def test_node_families_against_ground_truth(case, kind):
     assert relative_error(truth, refine(plan, data, passes=1)) <= 1e-12
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="plain solves on i.i.d. uniform nodes and on gapped grids return "
-                          "silently wrong answers")
-@pytest.mark.parametrize("P, family, seed", [
-    (1024, "iid", 0),
-    (1024, "iid", 1),
-    # on gap 6, type 4 reaches ~4e-7 and GE on type5_system ~2e-8, but plain
-    # type 5 errs by ~10 and raises nothing
-    (256, "gap-6", 0),
-], ids=["0", "1", "gap-6"])
-def test_iid_uniform_nodes_meet_bound_or_raise(P, family, seed):
-    # every solve either meets its accuracy or raises; here (i.i.d. cond ~1e17) neither happens
+_ALL_SOLVES = {(4, 0), (4, 1), (5, 0), (5, 1)}
+# (P, node family, seed) -> the solves, (kind, refinement passes), that miss 1e-6
+# and raise nothing. Seed 0 at P = 4096 errs by 7.3e-2 (gap 4, plain type 5),
+# 2.1e-2 to 1.1e10 (gap 6), 1.1 to 8.7e13 (gap 8) and 3.3 to 9.5e13 (i.i.d.)
+SILENTLY_WRONG = {
+    (1024, "iid", 0): _ALL_SOLVES,      # cond(A) ~1e17
+    (1024, "iid", 1): _ALL_SOLVES,
+    # type 4 reaches ~4e-7, GE on type5_system ~2e-8, plain type 5 ~10, one pass ~9e-6
+    (256, "gap-6", 0): {(5, 0), (5, 1)},
+    **{(4096, family, 0): set() for family in NODE_FAMILIES},
+    (4096, "gap-4", 0): {(5, 0)},
+    (4096, "gap-6", 0): _ALL_SOLVES,
+    (4096, "gap-8", 0): _ALL_SOLVES,
+    (4096, "iid", 0): _ALL_SOLVES,
+}
+_SILENT = pytest.mark.xfail(strict=True, raises=AssertionError,
+                            reason="returns a silently wrong answer")
+
+
+@pytest.mark.parametrize("P, family, seed, kind, passes", [
+    pytest.param(P, family, seed, kind, passes,
+                 id=f"{family}-P{P}-seed{seed}-type{kind}-{passes}pass",
+                 marks=[_SILENT] if (kind, passes) in wrong else [])
+    for (P, family, seed), wrong in SILENTLY_WRONG.items() for kind in (4, 5) for passes in (0, 1)
+])
+def test_node_family_solves_meet_bound_or_raise(P, family, seed, kind, passes):
+    # every solve either meets 1e-6 or raises; the data are the fast forward
+    # transforms of a known truth (error ~5e-15), since at P = 4096 the direct
+    # oracles take ~0.5 s a call
     rng = np.random.default_rng(seed)
     grid = NODE_FAMILIES[family](P, rng)
     truth = randc(P, rng)
+    if kind == 4:
+        refine, data = refine_type4, nfft_type1(grid, truth, P)
+    else:
+        refine, data = refine_type5, nfft_type2(truth, grid)
     try:
-        plan = build_plan(grid, MethodParams.from_mu(1e-15, P, eta=6))
+        err = relative_error(truth, refine(build_plan(grid, MethodParams.from_mu(1e-15, P, eta=6)),
+                                           data, passes=passes))
     except NufftError:
         return
-    for solve, data in ((type4, nfft_type1_direct(grid, truth, P)),
-                        (type5, nfft_type2_direct(truth, grid))):
-        try:
-            err = relative_error(truth, solve(plan, data))
-        except NufftError:
-            continue
-        assert err <= 1e-6, f"{solve.__name__}: relative error {err:.2g}"
+    assert err <= 1e-6, f"relative error {err:.2g}"
 
 
 def test_many_refinement_passes_on_jittered_grids_converge():
